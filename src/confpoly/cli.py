@@ -12,19 +12,12 @@ import json
 import sys
 from typing import Optional
 
-from . import combinatorics, poincare, verify, virtual
-from .ring import LaurentPoly, TruncSeries
+from . import combinatorics, duality, ffield, verify
 
 K_LIMIT = 32
 N_LIMIT = 64
 
-SERIES_FAMILIES = (
-    "standard-unordered",
-    "standard-ordered",
-    "virtual-unordered",
-    "virtual-unordered-raw",
-    "virtual-ordered",
-)
+SERIES_FAMILIES = tuple(duality.FAMILIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--space", choices=("unordered", "ordered", "both"), default="both"
     )
-    ver.add_argument("--primes", default="2,3,5,7", help="comma-separated primes")
+    ver.add_argument(
+        "--primes",
+        default=",".join(map(str, verify.DEFAULT_PRIMES)),
+        help="comma-separated primes",
+    )
     return parser
 
 
@@ -114,58 +111,36 @@ def _cmd_table_pyramidal(parser, args) -> int:
     return 0
 
 
-def _standard_row(space: str, k: int, n: int) -> list[int]:
-    if space == "unordered":
-        return list(poincare.betti_unordered(k, n).ranks)
-    p = poincare.poincare_ordered(k, n)
-    return [p.coefficient(i) for i in range(n + 1)]
-
-
-def _virtual_row(space: str, k: int, n: int) -> LaurentPoly:
-    if space == "unordered":
-        return virtual.virtual_unordered(k, n).poly
-    return virtual.virtual_ordered(k, n).poly
-
-
 def _cmd_table_betti(parser, args) -> int:
     _require(parser, 0 <= args.k <= K_LIMIT, f"-k must be in [0, {K_LIMIT}]")
     _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
-    k, space, kind = args.k, args.space, args.kind
-    rows = []
-    for n in range(args.max_n + 1):
-        if kind == "standard":
-            ranks = _standard_row(space, k, n)
-            poly = LaurentPoly({i: r for i, r in enumerate(ranks)})
-            rows.append({"k": k, "n": n, "ranks": ranks, "poly": poly})
-        else:
-            poly = _virtual_row(space, k, n)
-            rows.append({"k": k, "n": n, "poly": poly})
+    k, standard = args.k, args.kind == "standard"
+    polys = duality.FAMILIES[f"{args.kind}-{args.space}"](k, args.max_n)
+
+    def coeffs(n, poly):
+        # standard rows list the ranks of degrees 0..n, virtual rows the
+        # coefficients of x^0..x^2n
+        return [poly.coefficient(e) for e in range(n + 1 if standard else 2 * n + 1)]
+
     if args.format == "csv":
-        for row in rows:
-            if kind == "standard":
-                print(",".join(str(r) for r in row["ranks"]))
-            else:
-                print(row["poly"])
+        for n, poly in enumerate(polys):
+            print(",".join(str(c) for c in coeffs(n, poly)) if standard else poly)
     elif args.format == "json":
-        payload = []
-        for row in rows:
-            entry = {"k": k, "n": row["n"]}
-            if kind == "standard":
-                entry["ranks"] = [str(r) for r in row["ranks"]]
-            else:
-                poly = row["poly"]
-                entry["coeffs"] = [
-                    str(poly.coefficient(e)) for e in range(2 * row["n"] + 1)
-                ]
-            entry["poly"] = str(row["poly"])
-            payload.append(entry)
+        payload = [
+            {
+                "k": k,
+                "n": n,
+                "ranks" if standard else "coeffs": [str(c) for c in coeffs(n, poly)],
+                "poly": str(poly),
+            }
+            for n, poly in enumerate(polys)
+        ]
         print(json.dumps(payload, indent=2))
     else:
         print(r"\begin{tabular}{r|l}")
         print(r"$n$ & polynomial \\")
         print(r"\midrule")
-        body = [f"{row['n']} & ${row['poly']}$" for row in rows]
-        print(" \\\\\n".join(body))
+        print(" \\\\\n".join(f"{n} & ${poly}$" for n, poly in enumerate(polys)))
         print(r"\end{tabular}")
     return 0
 
@@ -173,27 +148,10 @@ def _cmd_table_betti(parser, args) -> int:
 # -- series -----------------------------------------------------------
 
 
-def _family_series(family: str, k: int, order: int) -> TruncSeries:
-    if family == "standard-unordered":
-        return poincare.unordered_series(k, order)
-    if family == "standard-ordered":
-        return TruncSeries(
-            order, [poincare.poincare_ordered(k, n) for n in range(order + 1)]
-        )
-    if family == "virtual-unordered":
-        return virtual.virtual_unordered_series(k, order)
-    if family == "virtual-unordered-raw":
-        return virtual.getzler_series_raw(k, order)
-    return TruncSeries(
-        order, [virtual.virtual_ordered(k, n).poly for n in range(order + 1)]
-    )
-
-
 def _cmd_series(parser, args) -> int:
     _require(parser, 0 <= args.k <= K_LIMIT, f"-k must be in [0, {K_LIMIT}]")
     _require(parser, 0 <= args.order <= N_LIMIT, f"--order must be in [0, {N_LIMIT}]")
-    series = _family_series(args.family, args.k, args.order)
-    for coeff in series.coeffs:
+    for coeff in duality.FAMILIES[args.family](args.k, args.order):
         print(coeff)
     return 0
 
@@ -207,6 +165,11 @@ def _parse_primes(parser, raw: str) -> tuple[int, ...]:
     except ValueError:
         parser.error(f"--primes must be comma-separated integers, got {raw!r}")
     _require(parser, bool(primes), "--primes must name at least one prime")
+    for q in primes:
+        try:
+            ffield.PrimeField(q)
+        except ValueError as exc:
+            parser.error(f"--primes: {exc}")
     return primes
 
 

@@ -99,14 +99,14 @@ def stirling_first_unsigned(n: int, r: int) -> int:
     """Unsigned Stirling number of the first kind c(n, r).
 
     Counts permutations of n elements with r cycles; computed by
-    c(n+1, r) = c(n, r-1) + n*c(n, r) with c(0, 0) = 1.
+    c(m+1, j) = c(m, j-1) + m*c(m, j) with c(0, 0) = 1, one row at a time
+    and keeping only the columns j <= r.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return 1 if r == 0 else 0
     if r < 0 or r > n:
         return 0
-    return stirling_first_unsigned(n - 1, r - 1) + (n - 1) * stirling_first_unsigned(
-        n - 1, r
-    )
+    row = [1] + [0] * r  # c(0, 0..r)
+    for m in range(n):
+        row = [row[0] * m] + [row[j - 1] + m * row[j] for j in range(1, r + 1)]
+    return row[r]

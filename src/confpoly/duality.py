@@ -5,13 +5,14 @@ either configuration-space family yields the virtual one.  Coefficient by
 coefficient the transformation is the weight-n substitution of the ring
 module, and this module checks the correspondence over whole ranges of
 (k, n), reporting mismatches as data rather than raising, so the CLI can
-print a full table.
+print a full table.  It also holds :data:`FAMILIES`, the one table that
+says which route answers each (kind, space) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import poincare, virtual
 from .ring import (
@@ -71,32 +72,45 @@ def undualize_series(s: TruncSeries) -> TruncSeries:
     )
 
 
-def _standard_poly(k: int, n: int, space: str) -> LaurentPoly:
-    if space == "ordered":
-        return poincare.poincare_ordered(k, n)
-    if space == "unordered":
-        return poincare.betti_unordered(k, n).poly()
-    raise ValueError(f"space must be 'ordered' or 'unordered', got {space!r}")
+def _per_n(poly_of):
+    """Lift a per-n route to a family entry: (k, max_n) -> polys for n = 0..max_n."""
+    return lambda k, max_n: tuple(poly_of(k, n) for n in range(max_n + 1))
 
 
-def _virtual_poly(k: int, n: int, space: str) -> LaurentPoly:
-    if space == "ordered":
-        return virtual.virtual_ordered(k, n).poly
-    if space == "unordered":
-        return virtual.virtual_unordered(k, n).poly
-    raise ValueError(f"space must be 'ordered' or 'unordered', got {space!r}")
+# Every (kind, space) route, keyed by the CLI family names.  Each entry maps
+# (k, max_n) to the polynomials for n = 0..max_n; the series entries expand
+# once per k, since coefficient n does not depend on the truncation order.
+# Entries look their route up in its module on every call, so replacing a
+# module attribute (a test's mutation, a tracer) is seen here too.
+FAMILIES: dict[str, Callable[[int, int], tuple[LaurentPoly, ...]]] = {
+    "standard-unordered": _per_n(lambda k, n: poincare.betti_unordered(k, n).poly()),
+    "standard-ordered": _per_n(lambda k, n: poincare.poincare_ordered(k, n)),
+    "virtual-unordered": lambda k, n: virtual.virtual_unordered_series(k, n).coeffs,
+    "virtual-unordered-raw": lambda k, n: virtual.getzler_series_raw(k, n).coeffs,
+    "virtual-ordered": _per_n(lambda k, n: virtual.virtual_ordered(k, n).poly),
+}
+
+
+def _standard_and_virtual(k: int, max_n: int, space: str):
+    """The standard and the virtual polynomials of one space, n = 0..max_n."""
+    if k < 0 or max_n < 0:
+        raise ValueError("k and max_n must be nonnegative")
+    if space not in virtual.SPACES:
+        raise ValueError(f"space must be 'ordered' or 'unordered', got {space!r}")
+    return (
+        FAMILIES[f"standard-{space}"](k, max_n),
+        FAMILIES[f"virtual-{space}"](k, max_n),
+    )
 
 
 def check_duality(k: int, max_n: int, space: str) -> DualityReport:
     """Compare the dualized standard polynomial with the virtual one for
     every n up to max_n.  Mismatches are recorded, not raised."""
-    if k < 0 or max_n < 0:
-        raise ValueError("k and max_n must be nonnegative")
+    standard, virt = _standard_and_virtual(k, max_n, space)
     matches = []
     first_mismatch = None
-    for n in range(max_n + 1):
-        lhs = substitute_duality(_standard_poly(k, n, space), n)
-        rhs = _virtual_poly(k, n, space)
+    for n, (s, rhs) in enumerate(zip(standard, virt)):
+        lhs = substitute_duality(s, n)
         ok = lhs == rhs
         matches.append(ok)
         if not ok and first_mismatch is None:
@@ -111,11 +125,5 @@ def euler_consistency(k: int, max_n: int, space: str) -> tuple[bool, ...]:
     from the alternating sum of Betti numbers, one from the virtual
     polynomial's scissor-additive count.
     """
-    if k < 0 or max_n < 0:
-        raise ValueError("k and max_n must be nonnegative")
-    results = []
-    for n in range(max_n + 1):
-        lhs = _standard_poly(k, n, space).eval_int(-1)
-        rhs = _virtual_poly(k, n, space).eval_int(1)
-        results.append(lhs == rhs)
-    return tuple(results)
+    standard, virt = _standard_and_virtual(k, max_n, space)
+    return tuple(s.eval_int(-1) == v.eval_int(1) for s, v in zip(standard, virt))

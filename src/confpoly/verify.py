@@ -34,6 +34,8 @@ SUITES = ("recursions", "series", "duality", "pointcount", "euler")
 
 BOTH_SPACES = ("unordered", "ordered")
 
+DEFAULT_PRIMES = (2, 3, 5, 7)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -60,34 +62,66 @@ class VerifySummary:
         return self.failed == 0
 
 
+def _crashed(
+    suite: str, space: str, k: int, n: int, exc: Exception, prefix: str = ""
+) -> CheckResult:
+    return CheckResult(suite, space, k, n, False, f"{prefix}{type(exc).__name__}: {exc}")
+
+
 def _check(
     suite: str, space: str, k: int, n: int, fn: Callable[[], tuple[bool, str]]
 ) -> CheckResult:
     try:
         ok, detail = fn()
     except Exception as exc:  # a crash in one cell must stay one failed cell
-        return CheckResult(suite, space, k, n, False, f"{type(exc).__name__}: {exc}")
+        return _crashed(suite, space, k, n, exc)
     return CheckResult(suite, space, k, n, ok, detail)
 
 
-def _ks(only_k: Optional[int], default_max: int, lowest: int = 0) -> Sequence[int]:
+def _or(value: Optional[int], default: int) -> int:
+    return default if value is None else value
+
+
+def _ks(only_k: Optional[int], max_k: int, lowest: int = 0) -> Sequence[int]:
     if only_k is not None:
         return (only_k,)
-    return range(lowest, default_max + 1)
+    return range(lowest, max_k + 1)
+
+
+def _per_space(
+    suite: str,
+    spaces: Iterable[str],
+    ks: Sequence[int],
+    cells: Callable[[int, str], list[tuple[bool, str]]],
+) -> Iterator[CheckResult]:
+    """One cell per n of ``cells(k, space)`` for each space and k.  If
+    ``cells`` raises, that k gets a single failed n = -1 cell instead."""
+    for space in spaces:
+        for k in ks:
+            try:
+                rows = cells(k, space)
+            except Exception as exc:
+                yield _crashed(suite, space, k, -1, exc)
+                continue
+            for n, (ok, detail) in enumerate(rows):
+                yield CheckResult(suite, space, k, n, ok, detail)
 
 
 # -- recursions -------------------------------------------------------
 
 
 def suite_recursions(
-    max_k: int = 8,
-    max_i: int = 12,
-    stable_max_k: int = 6,
-    stable_max_j: int = 8,
-    stable_max_n: int = 12,
+    max_k: Optional[int] = None,
+    max_n: Optional[int] = None,
     only_k: Optional[int] = None,
 ) -> Iterator[CheckResult]:
-    table = combinatorics.PyramidalTable.build(max_k, max_i)
+    """Pyramidal rows k <= 8, i <= 12; the Stirling link for n <= 8; rank
+    stabilization for k <= 6, j <= 8, n <= 12.  ``max_k`` replaces both
+    k bounds and ``max_n`` both the i and the n bound."""
+    pyramidal_max_k = 8 if max_k is None else max(max_k, 0)
+    stable_max_k = _or(max_k, 6)
+    max_n = _or(max_n, 12)
+    table = combinatorics.PyramidalTable.build(pyramidal_max_k, max_n)
 
     def pyramidal_cell(k: int, i: int) -> tuple[bool, str]:
         rec = combinatorics.pyramidal(k, i)
@@ -101,8 +135,8 @@ def suite_recursions(
             f"{name}={v}" for name, v in values.items()
         )
 
-    for k in _ks(only_k, max_k, lowest=-1):
-        for i in range(max_i + 1):
+    for k in _ks(only_k, pyramidal_max_k, lowest=-1):
+        for i in range(max_n + 1):
             yield _check("recursions", "-", k, i, lambda k=k, i=i: pyramidal_cell(k, i))
 
     def stirling_cell(n: int) -> tuple[bool, str]:
@@ -129,8 +163,8 @@ def suite_recursions(
         return False, f"rank H^{j} = {rank}, expected {expected}"
 
     for k in _ks(only_k, stable_max_k):
-        for j in range(stable_max_j + 1):
-            for n in range(j, stable_max_n + 1):
+        for j in range(8 + 1):
+            for n in range(j, max_n + 1):
                 yield _check(
                     "recursions", "unordered", k, n,
                     lambda k=k, j=j, n=n: stable_cell(k, j, n),
@@ -158,24 +192,26 @@ def _ordered_shape(k: int, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def _virtual_shape(vp: virtual.VirtualPoly) -> tuple[bool, str]:
-    p = vp.poly
+def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     if any(e % 2 or e < 0 for e in p.support()):
         return False, f"support {p.support()} not contained in even exponents"
-    if p.is_zero() or p.degree() != 2 * vp.n:
-        return False, f"{p} is not of degree {2 * vp.n}"
-    if p.coefficient(2 * vp.n) != 1:
+    if p.is_zero() or p.degree() != 2 * n:
+        return False, f"{p} is not of degree {2 * n}"
+    if p.coefficient(2 * n) != 1:
         return False, f"{p} is not monic"
     return True, ""
 
 
 def suite_series(
-    max_k: int = 6,
-    order: int = 12,
-    shape_max_n: int = 10,
+    max_k: Optional[int] = None,
+    max_n: Optional[int] = None,
     only_k: Optional[int] = None,
 ) -> Iterator[CheckResult]:
-    for k in _ks(only_k, max_k):
+    """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
+    replaces both the order and the shape bound."""
+    order = _or(max_n, 12)
+    shape_max_n = _or(max_n, 10)
+    for k in _ks(only_k, _or(max_k, 6)):
         try:
             q_series = poincare.unordered_series(k, order)
             chain = poincare.unordered_series(0, order)
@@ -184,9 +220,7 @@ def suite_series(
             raw = virtual.getzler_series_raw(k, order)
             simplified = virtual.virtual_unordered_series(k, order)
         except Exception as exc:
-            yield CheckResult(
-                "series", "-", k, -1, False, f"{type(exc).__name__}: {exc}"
-            )
+            yield _crashed("series", "-", k, -1, exc)
             continue
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
@@ -210,11 +244,11 @@ def suite_series(
         for n in range(shape_max_n + 1):
             yield _check(
                 "series", "ordered", k, n,
-                lambda k=k, n=n: _virtual_shape(virtual.virtual_ordered(k, n)),
+                lambda k=k, n=n: _virtual_shape(virtual.virtual_ordered(k, n).poly, n),
             )
             yield _check(
                 "series", "unordered", k, n,
-                lambda k=k, n=n: _virtual_shape(virtual.virtual_unordered(k, n)),
+                lambda n=n: _virtual_shape(simplified[n], n),
             )
             yield _check(
                 "series", "ordered", k, n, lambda k=k, n=n: _ordered_shape(k, n)
@@ -251,47 +285,46 @@ def suite_series(
 
 
 def suite_duality(
-    max_k: int = 6,
-    max_n: int = 12,
+    max_k: Optional[int] = None,
+    max_n: Optional[int] = None,
     spaces: Iterable[str] = BOTH_SPACES,
     only_k: Optional[int] = None,
 ) -> Iterator[CheckResult]:
-    for space in spaces:
-        for k in _ks(only_k, max_k):
-            try:
-                report = duality.check_duality(k, max_n, space)
-            except Exception as exc:
-                yield CheckResult(
-                    "duality", space, k, -1, False, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            for n, ok in enumerate(report.matches):
-                detail = ""
-                if not ok:
-                    detail = "transformed standard != virtual"
-                    if report.first_mismatch and report.first_mismatch[0] == n:
-                        _, lhs, rhs = report.first_mismatch
-                        detail = f"transformed standard {lhs} != virtual {rhs}"
-                yield CheckResult("duality", space, k, n, ok, detail)
+    """k <= 6, n <= 12."""
+    max_n = _or(max_n, 12)
+
+    def cells(k: int, space: str) -> list[tuple[bool, str]]:
+        report = duality.check_duality(k, max_n, space)
+        rows = []
+        for n, ok in enumerate(report.matches):
+            detail = ""
+            if not ok:
+                detail = "transformed standard != virtual"
+                if report.first_mismatch and report.first_mismatch[0] == n:
+                    _, lhs, rhs = report.first_mismatch
+                    detail = f"transformed standard {lhs} != virtual {rhs}"
+            rows.append((ok, detail))
+        return rows
+
+    yield from _per_space("duality", spaces, _ks(only_k, _or(max_k, 6)), cells)
 
 
 # -- pointcount -------------------------------------------------------
 
 
 def suite_pointcount(
-    primes: Iterable[int] = (2, 3, 5, 7),
-    max_k: int = 3,
-    max_n: int = 5,
+    primes: Iterable[int] = DEFAULT_PRIMES,
+    max_k: Optional[int] = None,
+    max_n: Optional[int] = None,
 ) -> Iterator[CheckResult]:
+    """k <= 3 (and k < q), n <= 5."""
+    max_k, max_n = _or(max_k, 3), _or(max_n, 5)
     for q in primes:
         for k in range(min(q, max_k + 1)):
             try:
                 reports = ffield.oracle_check(q, k, max_n)
             except Exception as exc:
-                yield CheckResult(
-                    "pointcount", "-", k, -1, False,
-                    f"q={q}: {type(exc).__name__}: {exc}",
-                )
+                yield _crashed("pointcount", "-", k, -1, exc, prefix=f"q={q}: ")
                 continue
             for r in reports:
                 yield CheckResult(
@@ -315,25 +348,21 @@ def suite_pointcount(
 
 
 def suite_euler(
-    max_k: int = 6,
-    max_n: int = 10,
+    max_k: Optional[int] = None,
+    max_n: Optional[int] = None,
     spaces: Iterable[str] = BOTH_SPACES,
     only_k: Optional[int] = None,
 ) -> Iterator[CheckResult]:
-    for space in spaces:
-        for k in _ks(only_k, max_k):
-            try:
-                flags = duality.euler_consistency(k, max_n, space)
-            except Exception as exc:
-                yield CheckResult(
-                    "euler", space, k, -1, False, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            for n, ok in enumerate(flags):
-                yield CheckResult(
-                    "euler", space, k, n, ok,
-                    "" if ok else "standard(-1) != virtual(1)",
-                )
+    """k <= 6, n <= 10."""
+    max_n = _or(max_n, 10)
+
+    def cells(k: int, space: str) -> list[tuple[bool, str]]:
+        return [
+            (ok, "" if ok else "standard(-1) != virtual(1)")
+            for ok in duality.euler_consistency(k, max_n, space)
+        ]
+
+    yield from _per_space("euler", spaces, _ks(only_k, _or(max_k, 6)), cells)
 
 
 # -- runner -----------------------------------------------------------
@@ -346,7 +375,7 @@ def run_suites(
     max_k: Optional[int] = None,
     max_n: Optional[int] = None,
     spaces: Iterable[str] = BOTH_SPACES,
-    primes: Iterable[int] = (2, 3, 5, 7),
+    primes: Iterable[int] = DEFAULT_PRIMES,
 ) -> tuple[VerifySummary, list[CheckResult]]:
     """Run the named suites (or all of them) and collect every check.
 
@@ -364,50 +393,18 @@ def run_suites(
     start = time.perf_counter()
     results: list[CheckResult] = []
     if "recursions" in wanted:
-        results.extend(
-            suite_recursions(
-                max_k=8 if max_k is None else max(max_k, 0),
-                max_i=12 if max_n is None else max_n,
-                stable_max_k=6 if max_k is None else max_k,
-                stable_max_n=12 if max_n is None else max_n,
-                only_k=only_k,
-            )
-        )
+        results.extend(suite_recursions(max_k=max_k, max_n=max_n, only_k=only_k))
     if "series" in wanted:
-        order = 12 if max_n is None else max_n
-        results.extend(
-            suite_series(
-                max_k=6 if max_k is None else max_k,
-                order=order,
-                shape_max_n=min(10 if max_n is None else max_n, order),
-                only_k=only_k,
-            )
-        )
+        results.extend(suite_series(max_k=max_k, max_n=max_n, only_k=only_k))
     if "duality" in wanted:
         results.extend(
-            suite_duality(
-                max_k=6 if max_k is None else max_k,
-                max_n=12 if max_n is None else max_n,
-                spaces=spaces,
-                only_k=only_k,
-            )
+            suite_duality(max_k=max_k, max_n=max_n, spaces=spaces, only_k=only_k)
         )
     if "pointcount" in wanted:
-        results.extend(
-            suite_pointcount(
-                primes=primes,
-                max_k=3 if max_k is None else max_k,
-                max_n=5 if max_n is None else max_n,
-            )
-        )
+        results.extend(suite_pointcount(primes=primes, max_k=max_k, max_n=max_n))
     if "euler" in wanted:
         results.extend(
-            suite_euler(
-                max_k=6 if max_k is None else max_k,
-                max_n=10 if max_n is None else max_n,
-                spaces=spaces,
-                only_k=only_k,
-            )
+            suite_euler(max_k=max_k, max_n=max_n, spaces=spaces, only_k=only_k)
         )
     duration = time.perf_counter() - start
 

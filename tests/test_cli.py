@@ -191,9 +191,10 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_bad_primes(self, capsys):
+    @pytest.mark.parametrize("primes", ["2,three", "4", "101", "1"])
+    def test_bad_primes(self, capsys, primes):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "pointcount", "--primes", "2,three"])
+            cli.main(["verify", "pointcount", "--primes", primes])
         assert exc.value.code == 2
         capsys.readouterr()
 

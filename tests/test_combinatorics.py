@@ -108,3 +108,16 @@ class TestStirling:
                 product = product * LaurentPoly({0: 1, 1: j})
             for i in range(n):
                 assert product.coefficient(i) == stirling_first_unsigned(n, n - i)
+
+    def test_large_n_against_harmonic_form(self):
+        # c(n, 1) = (n-1)! and c(n, 3) = (n-1)!/2 * (H^2 - H2), where H and
+        # H2 are the sums of 1/j and 1/j^2 over j < n; n = 1500 is deeper
+        # than the interpreter's default recursion limit
+        import math
+        from fractions import Fraction
+
+        n = 1500
+        h = sum(Fraction(1, j) for j in range(1, n))
+        h2 = sum(Fraction(1, j * j) for j in range(1, n))
+        assert stirling_first_unsigned(n, 1) == math.factorial(n - 1)
+        assert stirling_first_unsigned(n, 3) == math.factorial(n - 1) * (h * h - h2) / 2

@@ -2,7 +2,10 @@
 
 import pytest
 
+import confpoly.poincare as poincare_module
+import confpoly.virtual as virtual_module
 from confpoly.duality import (
+    FAMILIES,
     DegreeTooHighError,
     check_duality,
     dualize_series,
@@ -12,6 +15,16 @@ from confpoly.duality import (
 from confpoly.poincare import betti_unordered, poincare_ordered, unordered_series
 from confpoly.ring import ONE, LaurentPoly, TruncSeries
 from confpoly.virtual import virtual_ordered, virtual_unordered
+
+# the public per-n function behind each family; the raw and the simplified
+# unordered virtual series have the same coefficients
+PER_N = {
+    "standard-unordered": lambda k, n: betti_unordered(k, n).poly(),
+    "standard-ordered": poincare_ordered,
+    "virtual-unordered": lambda k, n: virtual_unordered(k, n).poly,
+    "virtual-unordered-raw": lambda k, n: virtual_unordered(k, n).poly,
+    "virtual-ordered": lambda k, n: virtual_ordered(k, n).poly,
+}
 
 
 def ordered_standard_series(k, order):
@@ -111,3 +124,38 @@ class TestEulerConsistency:
         for space in ("unordered", "ordered"):
             for k in range(7):
                 assert all(euler_consistency(k, 10, space))
+
+
+class TestFamilies:
+    def test_every_family_has_a_per_n_route(self):
+        assert set(FAMILIES) == set(PER_N)
+
+    @pytest.mark.parametrize("family", list(PER_N))
+    def test_truncation_does_not_matter(self, family):
+        for k in range(7):
+            # entry n of a table truncated at n itself, and of the per-n route
+            last = [FAMILIES[family](k, n)[n] for n in range(13)]
+            assert last == [PER_N[family](k, n) for n in range(13)]
+            for order in range(13):
+                assert list(FAMILIES[family](k, order)) == last[: order + 1]
+
+    @pytest.mark.parametrize(
+        "family, module, name",
+        [
+            ("standard-unordered", poincare_module, "betti_unordered"),
+            ("standard-ordered", poincare_module, "poincare_ordered"),
+            ("virtual-unordered", virtual_module, "virtual_unordered_series"),
+            ("virtual-unordered-raw", virtual_module, "getzler_series_raw"),
+            ("virtual-ordered", virtual_module, "virtual_ordered"),
+        ],
+    )
+    def test_routes_are_looked_up_when_called(self, monkeypatch, family, module, name):
+        class Called(Exception):
+            pass
+
+        def replaced(k, n):
+            raise Called
+
+        monkeypatch.setattr(module, name, replaced)
+        with pytest.raises(Called):
+            FAMILIES[family](2, 3)
