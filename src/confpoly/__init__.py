@@ -31,7 +31,7 @@ from .ffield import (
     count_ordered_configs,
     count_squarefree_coprime,
     is_squarefree,
-    is_squarefree_trial_division,
+    is_squarefree_by_sieve,
     monic_polys,
     oracle_check,
     squarefree_disagreements,
@@ -91,7 +91,7 @@ __all__ = [
     "euler_consistency",
     "getzler_series_raw",
     "is_squarefree",
-    "is_squarefree_trial_division",
+    "is_squarefree_by_sieve",
     "monic_polys",
     "napolitano_step",
     "oracle_check",

@@ -193,6 +193,13 @@ def _cmd_verify(parser, args) -> int:
         _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
     spaces = ("unordered", "ordered") if args.space == "both" else (args.space,)
     primes = _parse_primes(parser, args.primes)
+    if suite in ("all", "pointcount"):
+        size = verify.pointcount_size(primes, args.max_n)
+        _require(
+            parser, size <= ffield.ENUMERATION_BUDGET,
+            f"pointcount would enumerate {size} polynomials, over the budget of "
+            f"{ffield.ENUMERATION_BUDGET}; lower --max-n or drop primes from --primes",
+        )
 
     summary, results = verify.run_suites(
         [suite],

@@ -11,6 +11,18 @@ i.e. exactly such polynomials, not merely n-subsets of rational points.
 Punctures sit at {0, 1, ..., k-1}; any k distinct rational points would
 give the same counts, and fixing them keeps runs reproducible.
 
+Each field size q and degree n is enumerated once, for every k: the
+puncture sets {0..k-1} are nested, so it is enough to record per monic
+polynomial its smallest root (and its gcd squarefree verdict) and per
+n-tuple of distinct elements its smallest entry.  These per-(q, n) tables
+are kept as bytes in a process-wide cache; ``clear_caches`` empties it.
+
+The gcd squarefree test is cross-checked by a second, independent one: a
+sieve that marks every product g^2*h (g monic of degree >= 1), which is
+exactly the set of non-squarefree monic polynomials (the Z(y)/Z(y^2)
+structure of the squarefree count).  The sieve is built by multiplication
+alone and never calls the gcd test.
+
 Everything here is exhaustive enumeration on purpose.  No counting
 formula from the other modules is allowed in; the module's entire value
 is its independence.
@@ -20,17 +32,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator
 
 from . import virtual
 
-ENUMERATION_BUDGET = 10**8
+# q^n per enumeration, and summed over a pointcount run: about a minute at
+# the ~50 us a degree-7 polynomial costs, nearly all of it the gcd test
+# (Python 3.11, 2-core x86-64)
+ENUMERATION_BUDGET = 1_200_000
 
 FIELD_SIZE_LIMIT = 100
 
 
 class TooLargeError(ValueError):
     """The requested enumeration exceeds the tuple budget."""
+
+
+def _check_size(q: int, n: int) -> None:
+    if q**n > ENUMERATION_BUDGET:
+        raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
 
 
 def _is_prime(q: int) -> bool:
@@ -189,74 +210,138 @@ def is_squarefree(f: FieldPoly) -> bool:
     return f.gcd(f.derivative()).degree() == 0
 
 
-def is_squarefree_trial_division(f: FieldPoly) -> bool:
-    """Second, slower squarefree test: no square of a monic polynomial of
-    degree between 1 and deg(f)/2 divides f.  Used to cross-check the
-    gcd-based test; deliberately shares no code with it."""
+def _index(f: FieldPoly) -> int:
+    """Position of a monic polynomial in the :func:`monic_polys` order: its
+    low coefficients read as a base-q number, constant term most
+    significant."""
+    q, index = f.field.q, 0
+    for c in f.coeffs[:-1]:
+        index = index * q + c
+    return index
+
+
+def _monic_at(fld: PrimeField, n: int, index: int) -> FieldPoly:
+    """The monic degree-n polynomial at ``index`` in the :func:`monic_polys`
+    order; inverse of :func:`_index`."""
+    low = []
+    for _ in range(n):
+        index, c = divmod(index, fld.q)
+        low.append(c)
+    return FieldPoly(fld, low[::-1] + [1])
+
+
+def _square_multiples(fld: PrimeField, n: int) -> Iterator[FieldPoly]:
+    """Every product g*g*h with g monic of degree d in 1..n//2 and h monic
+    of degree n - 2d, repeats included.  These are exactly the monic
+    degree-n polynomials that are not squarefree."""
+    for d in range(1, n // 2 + 1):
+        for g in monic_polys(fld, d):
+            square = g * g
+            for h in monic_polys(fld, n - 2 * d):
+                yield square * h
+
+
+@cache
+def _square_sieve(q: int, n: int) -> bytes:
+    """Byte i is 1 if the i-th monic degree-n polynomial is a multiple of a
+    square, 0 if it is squarefree.  Built by multiplication alone, so it
+    shares no code with the gcd test it cross-checks."""
+    sieve = bytearray(q**n)
+    for f in _square_multiples(PrimeField(q), n):
+        sieve[_index(f)] = 1
+    return bytes(sieve)
+
+
+_SQUAREFREE = 0x80
+
+
+@cache
+def _polynomial_table(q: int, n: int) -> bytes:
+    """Byte i describes the i-th monic degree-n polynomial f: its smallest
+    root in 0..q-1 (q if it has none), plus ``_SQUAREFREE`` if
+    :func:`is_squarefree` accepts f.  The punctures {0..k-1} are nested,
+    so f avoids them exactly when its byte, less the flag, is at least k."""
+    fld = PrimeField(q)
+    table = bytearray()
+    for f in monic_polys(fld, n):
+        root = next((a for a in fld.elements() if f.evaluate(a) == 0), q)
+        table.append(root | _SQUAREFREE if is_squarefree(f) else root)
+    return bytes(table)
+
+
+@cache
+def _tuple_minima(q: int, n: int) -> tuple[int, ...]:
+    """Entry m counts the n-tuples of pairwise-distinct field elements whose
+    smallest entry is m; entry q counts the empty tuple."""
+    counts = [0] * (q + 1)
+    for tup in itertools.product(range(q), repeat=n):
+        if len(set(tup)) == n:
+            counts[min(tup, default=q)] += 1
+    return tuple(counts)
+
+
+def clear_caches() -> None:
+    """Forget every per-(q, n) table, so the next count enumerates afresh
+    (needed after patching a function the tables are built from)."""
+    for table in (_square_sieve, _polynomial_table, _tuple_minima):
+        table.cache_clear()
+
+
+def is_squarefree_by_sieve(f: FieldPoly) -> bool:
+    """Second squarefree test: f is not among the products g*g*h of
+    :func:`_square_multiples`.  Used to cross-check the gcd-based test;
+    deliberately shares no code with it."""
     if f.is_zero():
         return False
-    for d in range(1, f.degree() // 2 + 1):
-        for g in monic_polys(f.field, d):
-            if (f % (g * g)).is_zero():
-                return False
-    return True
+    f = f.monic()
+    _check_size(f.field.q, f.degree())
+    return not _square_sieve(f.field.q, f.degree())[_index(f)]
 
 
 def squarefree_disagreements(q: int, n: int, limit: int = 1) -> list[FieldPoly]:
     """Monic degree-n polynomials on which the two squarefree tests differ.
 
-    Runs the gcd test and the trial-division test over the full
-    enumeration (squares precomputed once) and returns up to ``limit``
-    offenders; an empty list means the tests agree everywhere.
+    Compares the gcd verdicts of the (q, n) table with the square sieve
+    over the full enumeration and returns up to ``limit`` offenders in
+    enumeration order; an empty list means the tests agree everywhere.
     """
     fld = PrimeField(q)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if q**n > ENUMERATION_BUDGET:
-        raise TooLargeError(f"{q}^{n} polynomials exceed the budget of {ENUMERATION_BUDGET}")
-    squares = [g * g for d in range(1, n // 2 + 1) for g in monic_polys(fld, d)]
+    _check_size(q, n)
+    table, sieve = _polynomial_table(q, n), _square_sieve(q, n)
     bad = []
-    for f in monic_polys(fld, n):
-        by_trial = not any((f % s).is_zero() for s in squares)
-        if is_squarefree(f) != by_trial:
-            bad.append(f)
+    for i, (entry, squareful) in enumerate(zip(table, sieve)):
+        if bool(entry & _SQUAREFREE) == bool(squareful):
+            bad.append(_monic_at(fld, n, i))
             if len(bad) >= limit:
                 break
     return bad
 
 
-def _check_enumeration_args(q: int, k: int, n: int) -> PrimeField:
-    fld = PrimeField(q)
+def _check_enumeration_args(q: int, k: int, n: int) -> None:
+    PrimeField(q)
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    if q**n > ENUMERATION_BUDGET:
-        raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
-    return fld
+    _check_size(q, n)
 
 
 def count_ordered_configs(q: int, k: int, n: int) -> int:
     """Number of n-tuples of pairwise-distinct field elements avoiding the
     punctures {0, ..., k-1}, by exhaustive enumeration of all q^n tuples."""
-    fld = _check_enumeration_args(q, k, n)
-    count = 0
-    for tup in itertools.product(fld.elements(), repeat=n):
-        if len(set(tup)) == n and all(v >= k for v in tup):
-            count += 1
-    return count
+    _check_enumeration_args(q, k, n)
+    return sum(_tuple_minima(q, n)[k:])
 
 
 def count_squarefree_coprime(q: int, k: int, n: int) -> int:
     """Number of monic degree-n polynomials over the field that are
     squarefree and nonvanishing on the punctures {0, ..., k-1}, by
     exhaustive enumeration of all q^n monic polynomials."""
-    fld = _check_enumeration_args(q, k, n)
-    count = 0
-    for f in monic_polys(fld, n):
-        if all(f.evaluate(a) != 0 for a in range(k)) and is_squarefree(f):
-            count += 1
-    return count
+    _check_enumeration_args(q, k, n)
+    table = _polynomial_table(q, n)
+    return sum(table.count(_SQUAREFREE | root) for root in range(k, q + 1))
 
 
 @dataclass(frozen=True)
@@ -279,6 +364,7 @@ def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:
     """Enumerate both spaces for every n <= max_n and compare with the
     virtual polynomials specialized at x^2 = q."""
     _check_enumeration_args(q, k, max_n)
+    unordered = virtual.virtual_unordered_series(k, max_n)
     reports = []
     for n in range(max_n + 1):
         reports.append(
@@ -292,7 +378,7 @@ def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:
             OracleReport(
                 q, k, n, "unordered",
                 count_squarefree_coprime(q, k, n),
-                virtual.virtual_unordered(k, n).eval_x_squared(q),
+                unordered.coefficient(n).eval_x_squared(q),
             )
         )
     return reports

@@ -312,13 +312,23 @@ def suite_duality(
 # -- pointcount -------------------------------------------------------
 
 
+POINTCOUNT_MAX_N = 5
+
+
+def pointcount_size(primes: Iterable[int], max_n: Optional[int] = None) -> int:
+    """Monic polynomials :func:`suite_pointcount` enumerates (and as many
+    n-tuples): q^n summed over the primes and every n <= max_n."""
+    max_n = _or(max_n, POINTCOUNT_MAX_N)
+    return sum(q**n for q in primes for n in range(max_n + 1))
+
+
 def suite_pointcount(
     primes: Iterable[int] = DEFAULT_PRIMES,
     max_k: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> Iterator[CheckResult]:
     """k <= 3 (and k < q), n <= 5."""
-    max_k, max_n = _or(max_k, 3), _or(max_n, 5)
+    max_k, max_n = _or(max_k, 3), _or(max_n, POINTCOUNT_MAX_N)
     for q in primes:
         for k in range(min(q, max_k + 1)):
             try:

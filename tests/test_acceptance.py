@@ -198,6 +198,7 @@ def test_criterion_9_mutation_sensitivity(monkeypatch, capsys):
             assert "space=- k=2 n=3" in _first_failure_line(out)
 
         # a miscount in the enumeration surfaces in the pointcount checks
+        ffield_module.clear_caches()
         real_count = ffield_module.count_squarefree_coprime
 
         def miscount(q, k, n):

@@ -1,10 +1,11 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
-from confpoly import cli
+from confpoly import cli, ffield, verify
 from confpoly.ring import LaurentPoly
 
 PYRAMIDAL_5X5 = "1,0,0,0,0\n1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,10,20,35\n"
@@ -197,6 +198,19 @@ class TestVerifyCommand:
             cli.main(["verify", "pointcount", "--primes", primes])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_pointcount_over_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "pointcount", "--max-n", "12", "--primes", "5"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n" in captured.err and "--primes" in captured.err
+
+    def test_pointcount_budget_fits_q7_to_n7(self):
+        assert verify.pointcount_size(verify.DEFAULT_PRIMES, 7) <= ffield.ENUMERATION_BUDGET
 
     def test_pointcount_table(self, capsys):
         code, out, _ = run_cli(

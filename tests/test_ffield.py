@@ -1,7 +1,14 @@
 """Finite-field brute-force oracle: enumeration counts and polynomial helpers."""
 
+import inspect
+
 import pytest
 
+import confpoly.combinatorics as combinatorics
+import confpoly.duality as duality
+import confpoly.ffield as ffield
+import confpoly.poincare as poincare
+import confpoly.virtual as virtual
 from confpoly.ffield import (
     FieldPoly,
     OracleReport,
@@ -10,11 +17,65 @@ from confpoly.ffield import (
     count_ordered_configs,
     count_squarefree_coprime,
     is_squarefree,
-    is_squarefree_trial_division,
+    is_squarefree_by_sieve,
     monic_polys,
     oracle_check,
     squarefree_disagreements,
 )
+
+# count_squarefree_coprime(q, k, n) and count_ordered_configs(q, k, n) for
+# n = 0..5, as the per-(k, n) enumeration computed them before the counts
+# moved to one table per (q, n)
+SQUAREFREE_COPRIME = {
+    (2, 0): (1, 2, 2, 4, 8, 16),
+    (2, 1): (1, 1, 1, 3, 5, 11),
+    (3, 0): (1, 3, 6, 18, 54, 162),
+    (3, 1): (1, 2, 4, 14, 40, 122),
+    (3, 2): (1, 1, 3, 11, 29, 93),
+    (5, 0): (1, 5, 20, 100, 500, 2500),
+    (5, 1): (1, 4, 16, 84, 416, 2084),
+    (5, 2): (1, 3, 13, 71, 345, 1739),
+    (5, 3): (1, 2, 11, 60, 285, 1454),
+    (7, 0): (1, 7, 42, 294, 2058, 14406),
+    (7, 1): (1, 6, 36, 258, 1800, 12606),
+    (7, 2): (1, 5, 31, 227, 1573, 11033),
+    (7, 3): (1, 4, 27, 200, 1373, 9660),
+}
+ORDERED = {
+    (2, 0): (1, 2, 2, 0, 0, 0),
+    (2, 1): (1, 1, 0, 0, 0, 0),
+    (3, 0): (1, 3, 6, 6, 0, 0),
+    (3, 1): (1, 2, 2, 0, 0, 0),
+    (3, 2): (1, 1, 0, 0, 0, 0),
+    (5, 0): (1, 5, 20, 60, 120, 120),
+    (5, 1): (1, 4, 12, 24, 24, 0),
+    (5, 2): (1, 3, 6, 6, 0, 0),
+    (5, 3): (1, 2, 2, 0, 0, 0),
+    (7, 0): (1, 7, 42, 210, 840, 2520),
+    (7, 1): (1, 6, 30, 120, 360, 720),
+    (7, 2): (1, 5, 20, 60, 120, 120),
+    (7, 3): (1, 4, 12, 24, 24, 0),
+}
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the per-(q, n) caches before a test patches what they are
+    built from, and again after, so no patched table outlives the test."""
+    ffield.clear_caches()
+    yield
+    ffield.clear_caches()
+
+
+def _assert_pinned_counts():
+    for (q, k), counts in SQUAREFREE_COPRIME.items():
+        assert tuple(count_squarefree_coprime(q, k, n) for n in range(6)) == counts
+    for (q, k), counts in ORDERED.items():
+        assert tuple(count_ordered_configs(q, k, n) for n in range(6)) == counts
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("must not be called")
 
 
 class TestPrimeField:
@@ -100,12 +161,35 @@ class TestSquarefree:
             fld = PrimeField(q)
             for n in range(5):
                 for f in monic_polys(fld, n):
-                    assert is_squarefree(f) == is_squarefree_trial_division(f)
+                    assert is_squarefree(f) == is_squarefree_by_sieve(f)
 
     def test_disagreement_scan_empty(self):
         for q in (2, 3, 5):
             for n in range(5):
                 assert squarefree_disagreements(q, n) == []
+
+    def test_dropped_sieve_product_is_named(self, monkeypatch, fresh_tables):
+        f3 = PrimeField(3)
+        t = FieldPoly(f3, (0, 1))
+        dropped = t * t * (t + FieldPoly(f3, (1,)))  # only as g^2*h with g = t
+        real = ffield._square_multiples
+
+        def leaky(fld, n):
+            return (f for f in real(fld, n) if f != dropped)
+
+        monkeypatch.setattr(ffield, "_square_multiples", leaky)
+        assert squarefree_disagreements(3, 3, limit=5) == [dropped]
+        assert squarefree_disagreements(3, 2) == []
+
+    def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
+        monkeypatch.setattr(ffield, "is_squarefree", _raise)
+        for name in ("gcd", "derivative", "__divmod__", "__mod__"):
+            monkeypatch.setattr(FieldPoly, name, _raise)
+        for q in (2, 3, 5, 7):
+            for n in range(6):
+                sieve = ffield._square_sieve(q, n)
+                # q^n - q^(n-1) monic polynomials of degree n >= 2 are squarefree
+                assert sieve.count(0) == (q**n - q ** (n - 1) if n >= 2 else q**n)
 
 
 class TestCounts:
@@ -126,6 +210,16 @@ class TestCounts:
         assert count_squarefree_coprime(3, 0, 2) == 6
         assert count_squarefree_coprime(5, 2, 3) == 71
         assert count_squarefree_coprime(2, 0, 0) == 1
+
+    def test_pinned_tables(self):
+        _assert_pinned_counts()
+
+    def test_counts_use_no_formula(self, monkeypatch, fresh_tables):
+        for module in (combinatorics, duality, poincare, virtual):
+            for name, value in vars(module).items():
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(module, name, _raise)
+        _assert_pinned_counts()
 
     def test_budget(self):
         with pytest.raises(TooLargeError):
@@ -166,6 +260,19 @@ class TestOracleCheck:
         assert r.agree
         r = OracleReport(5, 2, 3, "ordered", 6, 7)
         assert not r.agree
+
+    def test_one_unordered_series_per_call(self, monkeypatch):
+        calls = []
+        real = virtual.virtual_unordered_series
+
+        def counted(k, order):
+            calls.append((k, order))
+            return real(k, order)
+
+        monkeypatch.setattr(virtual, "virtual_unordered", _raise)
+        monkeypatch.setattr(virtual, "virtual_unordered_series", counted)
+        assert all(r.agree for r in oracle_check(5, 2, 4))
+        assert calls == [(2, 4)]
 
     def test_acceptance_range(self):
         for q in (2, 3, 5):
