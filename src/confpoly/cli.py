@@ -37,6 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     pyr.add_argument("--max-k", type=int, default=3)
     pyr.add_argument("--max-i", type=int, default=4)
     pyr.add_argument("--format", choices=("csv", "latex"), default="csv")
+    pyr.set_defaults(run=_cmd_table_pyramidal, parser=pyr)
 
     betti = table_sub.add_parser("betti", help="Betti numbers / virtual polynomials")
     betti.add_argument("--space", choices=("unordered", "ordered"), default="unordered")
@@ -44,11 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     betti.add_argument("-k", type=int, required=True, help="number of punctures")
     betti.add_argument("--max-n", type=int, required=True)
     betti.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
+    betti.set_defaults(run=_cmd_table_betti, parser=betti)
 
     series = sub.add_parser("series", help="print generating-series coefficients")
     series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
     series.add_argument("-k", type=int, required=True)
     series.add_argument("--order", type=int, required=True)
+    series.set_defaults(run=_cmd_series, parser=series)
 
     ver = sub.add_parser("verify", help="run cross-verification suites")
     ver.add_argument(
@@ -67,19 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(map(str, verify.DEFAULT_PRIMES)),
         help="comma-separated primes",
     )
+    ver.set_defaults(run=_cmd_verify, parser=ver)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "table":
-        if args.subject == "pyramidal":
-            return _cmd_table_pyramidal(parser, args)
-        return _cmd_table_betti(parser, args)
-    if args.command == "series":
-        return _cmd_series(parser, args)
-    return _cmd_verify(parser, args)
+    args = build_parser().parse_args(argv)
+    return args.run(args.parser, args)
 
 
 # -- table ------------------------------------------------------------

@@ -49,16 +49,10 @@ class LaurentPoly:
     x^2-3
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        data = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    data[e] = c
-        self._terms = data
-        self._key = tuple(sorted(data.items()))
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -179,10 +173,10 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._key == other._key
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         """Canonical rendering: descending exponents, ASCII ``x^e``.
@@ -212,7 +206,7 @@ class LaurentPoly:
         return "".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self._key)!r})"
+        return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
 
 
 ZERO = LaurentPoly()

@@ -109,7 +109,7 @@ class TestTableBetti:
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "betti", "-k", "40", "--max-n", "2"])
         assert exc.value.code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("usage: confpoly table betti ")
 
 
 class TestSeries:
@@ -207,6 +207,7 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: confpoly verify ")
         assert "--max-n" in captured.err and "--primes" in captured.err
 
     def test_pointcount_budget_fits_q7_to_n7(self):

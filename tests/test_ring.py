@@ -1,9 +1,12 @@
 """Arithmetic kernel: Laurent polynomials, truncated series, duality substitution."""
 
+import doctest
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import confpoly.ring as ring
 from confpoly.ring import (
     ONE,
     X,
@@ -22,11 +25,12 @@ def P(terms):
     return LaurentPoly(terms)
 
 
-polys = st.dictionaries(
+term_maps = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
     st.integers(min_value=-9, max_value=9),
     max_size=5,
-).map(LaurentPoly)
+)
+polys = term_maps.map(LaurentPoly)
 
 polys_nonneg = st.dictionaries(
     st.integers(min_value=0, max_value=4),
@@ -48,6 +52,25 @@ unit_heads = st.tuples(
 invertible_series = st.tuples(unit_heads, st.lists(polys, max_size=4)).map(
     lambda pair: TruncSeries(4, [pair[0], *pair[1]])
 )
+
+
+class TestStoredForm:
+    @given(term_maps, st.sets(st.integers(min_value=-8, max_value=8), max_size=4), polys)
+    def test_insertion_order_and_zeros_do_not_show(self, terms, zero_exps, other):
+        a = LaurentPoly(terms)
+        padded = {e: 0 for e in zero_exps - terms.keys()}
+        padded.update(reversed(list(terms.items())))
+        b = LaurentPoly(padded)
+        assert a == b
+        assert (hash(a), str(a), repr(a)) == (hash(b), str(b), repr(b))
+        assert hash(a + other) == hash(other + a)
+        const = terms.get(0, 0)
+        assert LaurentPoly({1: 0, 0: const}) == const
+
+    def test_docstring_examples(self):
+        failed, attempted = doctest.testmod(ring)
+        assert failed == 0
+        assert attempted > 0
 
 
 class TestLaurentMul:

@@ -69,10 +69,6 @@ class TestGetzlerRaw:
     def test_one_point(self):
         assert getzler_series_raw(1, 1)[1] == LaurentPoly({2: 1, 0: -1})
 
-    def test_form_equivalence_sweep(self):
-        for k in range(7):
-            assert getzler_series_raw(k, 12) == virtual_unordered_series(k, 12)
-
 
 class TestVirtualUnordered:
     def test_two_punctures_three_points(self):
