@@ -208,18 +208,12 @@ def _cmd_verify(parser, args) -> int:
     )
 
     if suite == "all":
-        per_suite: dict[str, list[verify.CheckResult]] = {}
-        for r in results:
-            per_suite.setdefault(r.suite, []).append(r)
         for name in summary.suites:
-            group = per_suite.get(name, [])
+            group = [r for r in results if r.suite == name]
             bad = sum(1 for r in group if not r.passed)
             print(f"suite {name}: {len(group)} checks, {bad} failed")
-        for r in results:
-            if not r.passed:
-                print(_format_check(r))
-    else:
-        for r in results:
+    for r in results:
+        if suite != "all" or not r.passed:
             print(_format_check(r))
 
     print(

@@ -30,6 +30,14 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+# A cold recursion from (k, i) nests k + i calls deep.  So a call whose
+# k + i is a multiple of _STRIDE above _STRIDE first memoizes, in order, the
+# lattice of points _STRIDE apart below it.  Every recursion then stops
+# within one lattice cell or at the next such antidiagonal, about
+# 3 * _STRIDE calls deep, far below the interpreter's recursion limit.
+_STRIDE = 64
+
+
 @cache
 def pyramidal(k: int, i: int) -> int:
     """P(k, i) by the memoized neighbor-sum recursion.
@@ -44,6 +52,11 @@ def pyramidal(k: int, i: int) -> int:
         return 1 if i == 0 else 0
     if i == 0:
         return 1
+    if k + i > _STRIDE and (k + i) % _STRIDE == 0:
+        for kk in (*range(0, k, _STRIDE), k):
+            for ii in (*range(0, i, _STRIDE), i):
+                if (kk, ii) != (k, i):
+                    pyramidal(kk, ii)
     return pyramidal(k - 1, i) + pyramidal(k, i - 1)
 
 

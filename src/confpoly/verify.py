@@ -4,8 +4,9 @@ Every suite walks a documented default range and emits one
 :class:`CheckResult` per cell, labeled by (space, k, n), so a single
 wrong coefficient anywhere surfaces as a named first failure.  Checks
 never raise: an exception inside a cell becomes a failed result for that
-cell.  Default ranges match the acceptance targets and keep the whole
-run comfortably under a minute.
+cell, and one while a suite builds the cells of a k becomes one failed
+n = -1 cell for that k.  Default ranges match the acceptance targets and
+keep the whole run comfortably under a minute.
 
 Suites:
 
@@ -78,50 +79,53 @@ def _check(
     return CheckResult(suite, space, k, n, ok, detail)
 
 
-def _or(value: Optional[int], default: int) -> int:
-    return default if value is None else value
+@dataclass(frozen=True)
+class Scope:
+    """What one run covers; every suite takes one and nothing else, so a
+    new suite is one ``suite_<name>(scope)`` plus its name in :data:`SUITES`.
 
+    A bound left as None means the suite's own default.  ``only_k``
+    narrows every per-k loop to that k, and ``spaces`` drops the cells of
+    the other space (cells with space '-' always stay)."""
 
-def _ks(only_k: Optional[int], max_k: int, lowest: int = 0) -> Sequence[int]:
-    if only_k is not None:
-        return (only_k,)
-    return range(lowest, max_k + 1)
+    max_k: Optional[int] = None
+    max_n: Optional[int] = None
+    only_k: Optional[int] = None
+    spaces: tuple[str, ...] = BOTH_SPACES
+    primes: tuple[int, ...] = DEFAULT_PRIMES
 
+    def n(self, default: int) -> int:
+        """``max_n``, or the suite's default n bound."""
+        return default if self.max_n is None else self.max_n
 
-def _per_space(
-    suite: str,
-    spaces: Iterable[str],
-    ks: Sequence[int],
-    cells: Callable[[int, str], list[tuple[bool, str]]],
-) -> Iterator[CheckResult]:
-    """One cell per n of ``cells(k, space)`` for each space and k.  If
-    ``cells`` raises, that k gets a single failed n = -1 cell instead."""
-    for space in spaces:
-        for k in ks:
-            try:
-                rows = cells(k, space)
-            except Exception as exc:
-                yield _crashed(suite, space, k, -1, exc)
-                continue
-            for n, (ok, detail) in enumerate(rows):
-                yield CheckResult(suite, space, k, n, ok, detail)
+    def ks(self, default_max_k: int, lowest: int = 0) -> Sequence[int]:
+        """``only_k`` alone, else ``lowest..max_k`` (or the suite's default)."""
+        if self.only_k is not None:
+            return (self.only_k,)
+        return range(lowest, (default_max_k if self.max_k is None else self.max_k) + 1)
+
+    def per_k(
+        self, suite: str, space: str, k: int, cells: Iterator[CheckResult],
+        prefix: str = "",
+    ) -> list[CheckResult]:
+        """The wanted cells of one k, drawn from the generator ``cells``.  If
+        it raises, that k gets a single failed n = -1 cell instead."""
+        try:
+            return [c for c in cells if c.space == "-" or c.space in self.spaces]
+        except Exception as exc:  # a crash in one k must stay one failed cell
+            return [_crashed(suite, space, k, -1, exc, prefix)]
 
 
 # -- recursions -------------------------------------------------------
 
 
-def suite_recursions(
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-    only_k: Optional[int] = None,
-) -> Iterator[CheckResult]:
+def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
     """Pyramidal rows k <= 8, i <= 12; the Stirling link for n <= 8; rank
     stabilization for k <= 6, j <= 8, n <= 12.  ``max_k`` replaces both
     k bounds and ``max_n`` both the i and the n bound."""
-    pyramidal_max_k = 8 if max_k is None else max(max_k, 0)
-    stable_max_k = _or(max_k, 6)
-    max_n = _or(max_n, 12)
-    table = combinatorics.PyramidalTable.build(pyramidal_max_k, max_n)
+    pyramidal_ks = scope.ks(8, lowest=-1)
+    max_n = scope.n(12)
+    table = combinatorics.PyramidalTable.build(max(0, *pyramidal_ks), max_n)
 
     def pyramidal_cell(k: int, i: int) -> tuple[bool, str]:
         rec = combinatorics.pyramidal(k, i)
@@ -135,7 +139,7 @@ def suite_recursions(
             f"{name}={v}" for name, v in values.items()
         )
 
-    for k in _ks(only_k, pyramidal_max_k, lowest=-1):
+    for k in pyramidal_ks:
         for i in range(max_n + 1):
             yield _check("recursions", "-", k, i, lambda k=k, i=i: pyramidal_cell(k, i))
 
@@ -162,7 +166,9 @@ def suite_recursions(
             return True, ""
         return False, f"rank H^{j} = {rank}, expected {expected}"
 
-    for k in _ks(only_k, stable_max_k):
+    if "unordered" not in scope.spaces:
+        return
+    for k in scope.ks(6):
         for j in range(8 + 1):
             for n in range(j, max_n + 1):
                 yield _check(
@@ -202,26 +208,18 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def suite_series(
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-    only_k: Optional[int] = None,
-) -> Iterator[CheckResult]:
+def suite_series(scope: Scope) -> Iterator[CheckResult]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
     replaces both the order and the shape bound."""
-    order = _or(max_n, 12)
-    shape_max_n = _or(max_n, 10)
-    for k in _ks(only_k, _or(max_k, 6)):
-        try:
-            q_series = poincare.unordered_series(k, order)
-            chain = poincare.unordered_series(0, order)
-            for _ in range(k):
-                chain = poincare.napolitano_step(chain)
-            raw = virtual.getzler_series_raw(k, order)
-            simplified = virtual.virtual_unordered_series(k, order)
-        except Exception as exc:
-            yield _crashed("series", "-", k, -1, exc)
-            continue
+    order, shape_max_n = scope.n(12), scope.n(10)
+
+    def cells(k: int) -> Iterator[CheckResult]:
+        q_series = poincare.unordered_series(k, order)
+        chain = poincare.unordered_series(0, order)
+        for _ in range(k):
+            chain = poincare.napolitano_step(chain)
+        raw = virtual.getzler_series_raw(k, order)
+        simplified = virtual.virtual_unordered_series(k, order)
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
             a = poincare.betti_unordered(k, n).poly()
@@ -280,22 +278,19 @@ def suite_series(
         for j in range(min(order, 8) + 1):
             yield _check("series", "unordered", k, j, lambda j=j: stable_coeff(j))
 
+    for k in scope.ks(6):
+        yield from scope.per_k("series", "-", k, cells(k))
+
 
 # -- duality ----------------------------------------------------------
 
 
-def suite_duality(
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-    spaces: Iterable[str] = BOTH_SPACES,
-    only_k: Optional[int] = None,
-) -> Iterator[CheckResult]:
+def suite_duality(scope: Scope) -> Iterator[CheckResult]:
     """k <= 6, n <= 12."""
-    max_n = _or(max_n, 12)
+    max_n = scope.n(12)
 
-    def cells(k: int, space: str) -> list[tuple[bool, str]]:
+    def cells(k: int, space: str) -> Iterator[CheckResult]:
         report = duality.check_duality(k, max_n, space)
-        rows = []
         for n, ok in enumerate(report.matches):
             detail = ""
             if not ok:
@@ -303,10 +298,11 @@ def suite_duality(
                 if report.first_mismatch and report.first_mismatch[0] == n:
                     _, lhs, rhs = report.first_mismatch
                     detail = f"transformed standard {lhs} != virtual {rhs}"
-            rows.append((ok, detail))
-        return rows
+            yield CheckResult("duality", space, k, n, ok, detail)
 
-    yield from _per_space("duality", spaces, _ks(only_k, _or(max_k, 6)), cells)
+    for space in scope.spaces:
+        for k in scope.ks(6):
+            yield from scope.per_k("duality", space, k, cells(k, space))
 
 
 # -- pointcount -------------------------------------------------------
@@ -318,36 +314,31 @@ POINTCOUNT_MAX_N = 5
 def pointcount_size(primes: Iterable[int], max_n: Optional[int] = None) -> int:
     """Monic polynomials :func:`suite_pointcount` enumerates (and as many
     n-tuples): q^n summed over the primes and every n <= max_n."""
-    max_n = _or(max_n, POINTCOUNT_MAX_N)
+    max_n = POINTCOUNT_MAX_N if max_n is None else max_n
     return sum(q**n for q in primes for n in range(max_n + 1))
 
 
-def suite_pointcount(
-    primes: Iterable[int] = DEFAULT_PRIMES,
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-) -> Iterator[CheckResult]:
+def suite_pointcount(scope: Scope) -> Iterator[CheckResult]:
     """k <= 3 (and k < q), n <= 5."""
-    max_k, max_n = _or(max_k, 3), _or(max_n, POINTCOUNT_MAX_N)
-    for q in primes:
-        for k in range(min(q, max_k + 1)):
-            try:
-                reports = ffield.oracle_check(q, k, max_n)
-            except Exception as exc:
-                yield _crashed("pointcount", "-", k, -1, exc, prefix=f"q={q}: ")
-                continue
-            for r in reports:
-                yield CheckResult(
-                    "pointcount", r.space, r.k, r.n, r.agree,
-                    f"q={q}: enumerated {r.oracle_count}, formula {r.formula_value}",
-                )
+    max_n = scope.n(POINTCOUNT_MAX_N)
 
-        def methods_agree(q: int, n: int) -> tuple[bool, str]:
-            bad = ffield.squarefree_disagreements(q, n)
-            if bad:
-                return False, f"q={q}: squarefree tests disagree at {bad[0]!r}"
-            return True, f"q={q}: squarefree tests agree on all monic degree-{n}"
+    def cells(q: int, k: int) -> Iterator[CheckResult]:
+        for r in ffield.oracle_check(q, k, max_n):
+            yield CheckResult(
+                "pointcount", r.space, r.k, r.n, r.agree,
+                f"q={q}: enumerated {r.oracle_count}, formula {r.formula_value}",
+            )
 
+    def methods_agree(q: int, n: int) -> tuple[bool, str]:
+        bad = ffield.squarefree_disagreements(q, n)
+        if bad:
+            return False, f"q={q}: squarefree tests disagree at {bad[0]!r}"
+        return True, f"q={q}: squarefree tests agree on all monic degree-{n}"
+
+    for q in scope.primes:
+        for k in scope.ks(3):
+            if k < q:
+                yield from scope.per_k("pointcount", "-", k, cells(q, k), f"q={q}: ")
         for n in range(max_n + 1):
             yield _check(
                 "pointcount", "-", 0, n, lambda q=q, n=n: methods_agree(q, n)
@@ -357,22 +348,19 @@ def suite_pointcount(
 # -- euler ------------------------------------------------------------
 
 
-def suite_euler(
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-    spaces: Iterable[str] = BOTH_SPACES,
-    only_k: Optional[int] = None,
-) -> Iterator[CheckResult]:
+def suite_euler(scope: Scope) -> Iterator[CheckResult]:
     """k <= 6, n <= 10."""
-    max_n = _or(max_n, 10)
+    max_n = scope.n(10)
 
-    def cells(k: int, space: str) -> list[tuple[bool, str]]:
-        return [
-            (ok, "" if ok else "standard(-1) != virtual(1)")
-            for ok in duality.euler_consistency(k, max_n, space)
-        ]
+    def cells(k: int, space: str) -> Iterator[CheckResult]:
+        for n, ok in enumerate(duality.euler_consistency(k, max_n, space)):
+            yield CheckResult(
+                "euler", space, k, n, ok, "" if ok else "standard(-1) != virtual(1)"
+            )
 
-    yield from _per_space("euler", spaces, _ks(only_k, _or(max_k, 6)), cells)
+    for space in scope.spaces:
+        for k in scope.ks(6):
+            yield from scope.per_k("euler", space, k, cells(k, space))
 
 
 # -- runner -----------------------------------------------------------
@@ -395,31 +383,18 @@ def run_suites(
     unknown = wanted - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    if "all" in wanted:
-        wanted = set(SUITES)
 
-    spaces = tuple(spaces)
-    primes = tuple(primes)
+    scope = Scope(max_k, max_n, only_k, tuple(spaces), tuple(primes))
+    ran = tuple(s for s in SUITES if s in wanted or "all" in wanted)
     start = time.perf_counter()
     results: list[CheckResult] = []
-    if "recursions" in wanted:
-        results.extend(suite_recursions(max_k=max_k, max_n=max_n, only_k=only_k))
-    if "series" in wanted:
-        results.extend(suite_series(max_k=max_k, max_n=max_n, only_k=only_k))
-    if "duality" in wanted:
-        results.extend(
-            suite_duality(max_k=max_k, max_n=max_n, spaces=spaces, only_k=only_k)
-        )
-    if "pointcount" in wanted:
-        results.extend(suite_pointcount(primes=primes, max_k=max_k, max_n=max_n))
-    if "euler" in wanted:
-        results.extend(
-            suite_euler(max_k=max_k, max_n=max_n, spaces=spaces, only_k=only_k)
-        )
+    for name in ran:
+        # looked up when it runs, so a replaced suite (a test's patch, a
+        # tracer's wrapper) is the one that runs
+        results.extend(globals()[f"suite_{name}"](scope))
     duration = time.perf_counter() - start
 
     failed = [r for r in results if not r.passed]
-    ran = tuple(s for s in SUITES if s in wanted)
     summary = VerifySummary(
         suites=ran,
         passed=len(results) - len(failed),

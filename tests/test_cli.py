@@ -17,6 +17,16 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def checked_cells(out):
+    """(space, k) of every PASS/FAIL line of a verify run."""
+    cells = []
+    for line in out.splitlines():
+        if line.startswith(("PASS ", "FAIL ")):
+            fields = dict(f.split("=", 1) for f in line.split(" | ")[0].split()[1:])
+            cells.append((fields["space"], int(fields["k"])))
+    return cells
+
+
 class TestTablePyramidal:
     def test_csv_reference_table(self, capsys):
         code, out, _ = run_cli(
@@ -212,6 +222,33 @@ class TestVerifyCommand:
 
     def test_pointcount_budget_fits_q7_to_n7(self):
         assert verify.pointcount_size(verify.DEFAULT_PRIMES, 7) <= ffield.ENUMERATION_BUDGET
+
+    def test_k_narrows_pointcount(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["verify", "pointcount", "-k", "1", "--primes", "2,3", "--max-n", "2"]
+        )
+        assert code == 0
+        cells = checked_cells(out)
+        assert {k for space, k in cells if space != "-"} == {1}
+        # the k-independent squarefree cells stay
+        assert ("-", 0) in cells
+
+    @pytest.mark.parametrize("suite", ["pointcount", "series", "recursions"])
+    def test_space_narrows(self, capsys, suite):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", suite, "--space", "ordered", "--max-k", "1", "--max-n", "2",
+             "--primes", "2,3"],
+        )
+        assert code == 0
+        spaces = {space for space, _ in checked_cells(out)}
+        assert "unordered" not in spaces
+        assert "-" in spaces
+
+    def test_k_past_the_default_range(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "recursions", "-k", "10", "--max-n", "2"])
+        assert code == 0
+        assert "PASS suite=recursions space=- k=10 n=2" in out.splitlines()
 
     def test_pointcount_table(self, capsys):
         code, out, _ = run_cli(

@@ -69,6 +69,14 @@ class TestPyramidal:
             for i in range(13):
                 assert gf[i] == LaurentPoly.constant(pyramidal(k, i))
 
+    def test_deep_calls_on_a_cold_cache(self):
+        # k + i far past the interpreter's default recursion limit
+        import math
+
+        for k, i in [(0, 1200), (1200, 1), (3, 1500)]:
+            pyramidal.cache_clear()
+            assert pyramidal(k, i) == math.comb(i + k, i)
+
 
 class TestBinomial:
     def test_values(self):

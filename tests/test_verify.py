@@ -1,10 +1,21 @@
 """Verification-suite machinery: green runs, named failures, summaries."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import confpoly.combinatorics as combinatorics
+import confpoly.duality as duality
+import confpoly.ffield as ffield
 import confpoly.poincare as poincare
+from confpoly import cli
 from confpoly.verify import SUITES, run_suites
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRunSuites:
@@ -91,3 +102,60 @@ class TestFailureNaming:
         assert summary.passed + summary.failed == len(results)
         f = summary.first_failure
         assert (f.space, f.k, f.n) == ("unordered", 2, 3)
+
+    # each suite's per-k builder, the position of its k argument, and the
+    # spaces whose k = 1 cells a crash must turn into one failed cell each
+    @pytest.mark.parametrize(
+        "suite, module, name, k_at, spaces",
+        [
+            ("series", poincare, "unordered_series", 0, ["-"]),
+            ("duality", duality, "check_duality", 0, ["unordered", "ordered"]),
+            ("pointcount", ffield, "oracle_check", 1, ["-"]),
+            ("euler", duality, "euler_consistency", 0, ["unordered", "ordered"]),
+        ],
+        ids=["series", "duality", "pointcount", "euler"],
+    )
+    def test_crashed_k_is_one_failed_cell(
+        self, monkeypatch, capsys, suite, module, name, k_at, spaces
+    ):
+        real = getattr(module, name)
+
+        def crash_at_k1(*args):
+            if args[k_at] == 1:
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, crash_at_k1)
+        _, results = run_suites([suite], max_k=2, max_n=3, primes=(3,))
+        failed = [r for r in results if not r.passed]
+        assert [(r.space, r.k, r.n) for r in failed] == [(s, 1, -1) for s in spaces]
+        assert all("RuntimeError: boom" in r.detail for r in failed)
+        assert {r.k for r in results if r.passed and r.space != "-"} >= {0, 2}
+        argv = ["verify", suite, "--max-k", "2", "--max-n", "3", "--primes", "3"]
+        assert cli.main(argv) == 1
+        capsys.readouterr()
+
+
+def test_traced_run_sees_every_suite():
+    # perfbench's tracer replaces each verify.suite_<name>; the runner must
+    # look the suites up when it runs, or the wrappers never see a check
+    script = (
+        "import contextlib, io, json, layers\n"
+        "from confpoly import cli\n"
+        "tracer = layers.Tracer()\n"
+        "tracer.install()\n"
+        "argv = ['verify', '--suite', 'all', '--max-k', '1', '--max-n', '3', '--primes', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(argv)\n"
+        "print(json.dumps({'code': code, 'counts': tracer.snapshot()}))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    for name in SUITES:
+        assert report["counts"].get(f"verify.suite_{name}.checks", 0) > 0, name
