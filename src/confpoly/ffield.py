@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import virtual
 
@@ -98,6 +98,17 @@ class FieldPoly:
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _reduced(cls, fld: PrimeField, cs: list[int]) -> "FieldPoly":
+        """A polynomial from a list already reduced mod q, which it strips of
+        leading zeros in place instead of reducing again."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "field", fld)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
     def degree(self) -> int:
         """Degree, with the convention -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -124,50 +135,58 @@ class FieldPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % q
-        return FieldPoly(self.field, out)
+        return FieldPoly._reduced(self.field, out)
 
     def __sub__(self, other: "FieldPoly") -> "FieldPoly":
         q = self.field.q
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] = (out[i] - c) % q
-        return FieldPoly(self.field, out)
+        return FieldPoly._reduced(self.field, out)
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
         q = self.field.q
         if not self.coeffs or not other.coeffs:
-            return FieldPoly(self.field, ())
+            return FieldPoly._reduced(self.field, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = (out[i + j] + a * b) % q
-        return FieldPoly(self.field, out)
+        return FieldPoly._reduced(self.field, out)
 
-    def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
+    def _divide(self, other: "FieldPoly", quot: Optional[list[int]]) -> list[int]:
+        """The reduced remainder of long division by ``other``; the quotient's
+        coefficients go into ``quot`` when it is a list of zeros."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = self.field.q
         rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree()
-        if dd < dv:
-            return FieldPoly(self.field, ()), FieldPoly(self.field, rem)
+        dv = other.degree()
+        if len(rem) <= dv:
+            return rem
         inv_lead = pow(other.coeffs[-1], -1, q)
-        quot = [0] * (dd - dv + 1)
-        for shift in range(dd - dv, -1, -1):
+        for shift in range(len(rem) - 1 - dv, -1, -1):
             factor = (rem[shift + dv] * inv_lead) % q
             if factor:
-                quot[shift] = factor
+                if quot is not None:
+                    quot[shift] = factor
                 for j, b in enumerate(other.coeffs):
                     rem[shift + j] = (rem[shift + j] - factor * b) % q
-        return FieldPoly(self.field, quot), FieldPoly(self.field, rem)
+        del rem[dv:]
+        return rem
+
+    def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
+        quot = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        rem = self._divide(other, quot)
+        return FieldPoly._reduced(self.field, quot), FieldPoly._reduced(self.field, rem)
 
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
-        return divmod(self, other)[1]
+        return FieldPoly._reduced(self.field, self._divide(other, None))
 
     def derivative(self) -> "FieldPoly":
         q = self.field.q
-        return FieldPoly(
+        return FieldPoly._reduced(
             self.field, [(i * c) % q for i, c in enumerate(self.coeffs)][1:]
         )
 
@@ -182,7 +201,9 @@ class FieldPoly:
         if self.is_zero():
             return self
         inv = pow(self.coeffs[-1], -1, self.field.q)
-        return FieldPoly(self.field, [(c * inv) % self.field.q for c in self.coeffs])
+        return FieldPoly._reduced(
+            self.field, [(c * inv) % self.field.q for c in self.coeffs]
+        )
 
     def gcd(self, other: "FieldPoly") -> "FieldPoly":
         a, b = self, other

@@ -80,12 +80,26 @@ def stable_betti(k: int, j: int) -> int:
     return P(k - 1, j) + P(k - 1, j - 1)
 
 
+# k -> (n, the product of the first n factors): the last ordered product
+# made for each k, so a sweep over n = 0, 1, 2, ... costs one factor per n
+_ORDERED: dict[int, tuple[int, LaurentPoly]] = {}
+
+
+def _ordered_product(k: int, n: int) -> LaurentPoly:
+    """(1 + k*x) ... (1 + (n+k-1)*x), extended from the product held for k
+    when that one has at most n factors, else from the empty product."""
+    have, product = _ORDERED.get(k, (0, ONE))
+    if have > n:
+        have, product = 0, ONE
+    for j in range(have, n):
+        product = product * LaurentPoly({0: 1, 1: k + j})
+    _ORDERED[k] = (n, product)
+    return product
+
+
 def poincare_ordered(k: int, n: int) -> LaurentPoly:
     """Poincare polynomial of the ordered n-point space:
     (1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x)."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be nonnegative")
-    result = ONE
-    for j in range(n):
-        result = result * LaurentPoly({0: 1, 1: k + j})
-    return result
+    return _ordered_product(k, n)

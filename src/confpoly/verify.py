@@ -212,18 +212,28 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
     replaces both the order and the shape bound."""
     order, shape_max_n = scope.n(12), scope.n(10)
+    # the one-puncture chain, at chain_k punctures: built from k = 0 by
+    # napolitano_step alone and carried from one k to the next, so a wrong
+    # step at some k shows at that k first and at every k after it
+    chain_k, chain = 0, None
+
+    def chain_at(k: int) -> TruncSeries:
+        nonlocal chain_k, chain
+        if chain is None:
+            chain = poincare.unordered_series(0, order)
+        while chain_k < k:
+            chain_k, chain = chain_k + 1, poincare.napolitano_step(chain)
+        return chain
 
     def cells(k: int) -> Iterator[CheckResult]:
         q_series = poincare.unordered_series(k, order)
-        chain = poincare.unordered_series(0, order)
-        for _ in range(k):
-            chain = poincare.napolitano_step(chain)
+        stepped = chain_at(k)
         raw = virtual.getzler_series_raw(k, order)
         simplified = virtual.virtual_unordered_series(k, order)
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
             a = poincare.betti_unordered(k, n).poly()
-            b, c = q_series[n], chain[n]
+            b, c = q_series[n], stepped[n]
             if a == b == c:
                 return True, ""
             return False, f"closed form {a}, series {b}, iterated step {c}"

@@ -56,14 +56,29 @@ class VirtualPoly:
         return self.poly.eval_x_squared(v)
 
 
+# k -> (n, the product of the first n factors): the last falling-factorial
+# product made for each k, so a sweep over n = 0, 1, 2, ... costs one factor
+# per n.  Kept apart from poincare's product, which it is checked against.
+_ORDERED: dict[int, tuple[int, LaurentPoly]] = {}
+
+
+def _falling_product(k: int, n: int) -> LaurentPoly:
+    """(x^2 - k) ... (x^2 - k - n + 1), extended from the product held for k
+    when that one has at most n factors, else from the empty product."""
+    have, product = _ORDERED.get(k, (0, ONE))
+    if have > n:
+        have, product = 0, ONE
+    for j in range(have, n):
+        product = product * LaurentPoly({2: 1, 0: -(k + j)})
+    _ORDERED[k] = (n, product)
+    return product
+
+
 def virtual_ordered(k: int, n: int) -> VirtualPoly:
     """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), expanded."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be nonnegative")
-    result = ONE
-    for j in range(n):
-        result = result * LaurentPoly({2: 1, 0: -(k + j)})
-    return VirtualPoly(result, k, n, "ordered")
+    return VirtualPoly(_falling_product(k, n), k, n, "ordered")
 
 
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:

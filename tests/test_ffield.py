@@ -117,6 +117,15 @@ class TestFieldPoly:
                 quot, rem = divmod(f, g)
                 assert quot * g + rem == f
                 assert rem.degree() < g.degree()
+                assert f % g == rem
+                # reduced and stripped, as the constructor would leave them
+                for p in (quot, rem, f % g):
+                    assert p.coeffs == FieldPoly(f3, p.coeffs).coeffs
+        zero = FieldPoly(f3, ())
+        with pytest.raises(ZeroDivisionError):
+            divmod(all_f[5], zero)
+        with pytest.raises(ZeroDivisionError):
+            all_f[5] % zero
 
     def test_derivative(self):
         f5 = PrimeField(5)
@@ -183,7 +192,7 @@ class TestSquarefree:
 
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
         monkeypatch.setattr(ffield, "is_squarefree", _raise)
-        for name in ("gcd", "derivative", "__divmod__", "__mod__"):
+        for name in ("gcd", "derivative", "__divmod__", "__mod__", "_divide"):
             monkeypatch.setattr(FieldPoly, name, _raise)
         for q in (2, 3, 5, 7):
             for n in range(6):

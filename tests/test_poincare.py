@@ -1,7 +1,15 @@
 """Standard Poincare polynomials: closed form, series, recursion, stability."""
 
-import pytest
+import random
+import sys
+import threading
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import confpoly.duality as duality
+import confpoly.poincare as poincare
 from confpoly.poincare import (
     BettiRow,
     betti_unordered,
@@ -11,6 +19,7 @@ from confpoly.poincare import (
     unordered_series,
 )
 from confpoly.ring import ONE, X, LaurentPoly, TruncSeries
+from confpoly.virtual import virtual_ordered
 
 
 class TestBettiUnordered:
@@ -131,3 +140,77 @@ class TestPoincareOrdered:
             unordered_series(-2, 5)
         with pytest.raises(ValueError):
             stable_betti(-1, 0)
+
+
+def _ordered_by_hand(k, n):
+    product = ONE
+    for j in range(n):
+        product = product * LaurentPoly({0: 1, 1: k + j})
+    return product
+
+
+# every k with n both small and large, so a shuffle walks n up and down
+ORDERED_CALLS = [(k, n) for k in range(4) for n in (0, 1, 2, 5, 9, 14)]
+
+
+class TestOrderedRunningProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(ORDERED_CALLS))
+    def test_any_call_order(self, calls):
+        for k, n in calls:
+            assert poincare_ordered(k, n) == _ordered_by_hand(k, n)
+
+    def test_deep_call_on_a_cold_store(self, monkeypatch):
+        monkeypatch.setattr(poincare, "_ORDERED", {})
+        p = poincare_ordered(3, 1500)
+        assert p.degree() == 1500
+        assert p.coefficient(1) == sum(range(3, 1503))
+
+    def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
+        real = poincare.poincare_ordered
+
+        def bumped(k, n):
+            p = real(k, n)
+            return p + LaurentPoly({2: 1}) if (k, n) == (2, 3) else p
+
+        with monkeypatch.context() as m:
+            m.setattr(poincare, "poincare_ordered", bumped)
+            patched = duality.FAMILIES["standard-ordered"](2, 6)
+            assert patched[3] == _ordered_by_hand(2, 3) + LaurentPoly({2: 1})
+            assert not duality.check_duality(2, 6, "ordered").all_match()
+        expected = tuple(_ordered_by_hand(2, n) for n in range(7))
+        assert duality.FAMILIES["standard-ordered"](2, 6) == expected
+        assert duality.check_duality(2, 6, "ordered").all_match()
+
+    def test_threads_share_the_stores(self):
+        # the stores are read, extended and replaced without a lock; every
+        # interleaving must still hand out the right products
+        def falling(k, n):
+            product = ONE
+            for j in range(n):
+                product = product * LaurentPoly({2: 1, 0: -(k + j)})
+            return product
+
+        expected = {(k, n): (_ordered_by_hand(k, n), falling(k, n)) for k, n in ORDERED_CALLS}
+        wrong = []
+
+        def worker(seed):
+            calls = ORDERED_CALLS * 3
+            random.Random(seed).shuffle(calls)
+            for k, n in calls:
+                got = (poincare_ordered(k, n), virtual_ordered(k, n).poly)
+                if got != expected[k, n]:
+                    wrong.append((k, n))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

@@ -13,6 +13,7 @@ import confpoly.duality as duality
 import confpoly.ffield as ffield
 import confpoly.poincare as poincare
 from confpoly import cli
+from confpoly.ring import X, TruncSeries
 from confpoly.verify import SUITES, run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +135,66 @@ class TestFailureNaming:
         argv = ["verify", suite, "--max-k", "2", "--max-n", "3", "--primes", "3"]
         assert cli.main(argv) == 1
         capsys.readouterr()
+
+
+class TestNapolitanoChain:
+    """verify series carries one chain of napolitano_step calls from k = 0."""
+
+    @staticmethod
+    def _record_steps(monkeypatch, wrong_call=None):
+        # (input, output) of every step; call number wrong_call bumps the
+        # y^2 coefficient of its output
+        steps = []
+        real = poincare.napolitano_step
+
+        def recorded(q):
+            out = real(q)
+            if len(steps) + 1 == wrong_call:
+                coeffs = list(out.coeffs)
+                coeffs[2] = coeffs[2] + X
+                out = TruncSeries(out.order, coeffs)
+            steps.append((q, out))
+            return out
+
+        monkeypatch.setattr(poincare, "napolitano_step", recorded)
+        return steps
+
+    @staticmethod
+    def _assert_one_chain(steps, order):
+        assert steps[0][0] == poincare.unordered_series(0, order)
+        for (_, previous), (q, _) in zip(steps, steps[1:]):
+            assert q is previous
+
+    @pytest.mark.parametrize("max_k", [0, 1, 5, 16])
+    def test_one_step_per_k(self, monkeypatch, capsys, max_k):
+        steps = self._record_steps(monkeypatch)
+        assert cli.main(["verify", "series", "--max-k", str(max_k), "--max-n", "6"]) == 0
+        capsys.readouterr()
+        assert len(steps) == max_k
+        if steps:
+            self._assert_one_chain(steps, 6)
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_single_k_steps_up_from_zero(self, monkeypatch, capsys, k):
+        steps = self._record_steps(monkeypatch)
+        assert cli.main(["verify", "series", "-k", str(k), "--max-n", "6"]) == 0
+        capsys.readouterr()
+        assert len(steps) == k
+        if steps:
+            self._assert_one_chain(steps, 6)
+
+    def test_wrong_step_names_its_k_first(self, monkeypatch, capsys):
+        self._record_steps(monkeypatch, wrong_call=3)
+        assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        first = next(line for line in out.splitlines() if line.startswith("first failure:"))
+        assert "space=unordered k=3 " in first
+        failed_ks = {
+            int(line.split(" k=")[1].split()[0])
+            for line in out.splitlines()
+            if line.startswith("FAIL ")
+        }
+        assert failed_ks == {3, 4, 5, 6}
 
 
 def test_traced_run_sees_every_suite():

@@ -3,7 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import confpoly.duality as duality
+import confpoly.virtual as virtual
 from confpoly.ring import ONE, LaurentPoly
 from confpoly.virtual import (
     VirtualPoly,
@@ -98,3 +102,47 @@ class TestShapeInvariants:
             virtual_ordered(-1, 2)
         with pytest.raises(ValueError):
             virtual_unordered_series(-1, 2)
+
+
+def _falling_by_hand(k, n):
+    product = ONE
+    for j in range(n):
+        product = product * LaurentPoly({2: 1, 0: -(k + j)})
+    return product
+
+
+# every k with n both small and large, so a shuffle walks n up and down
+ORDERED_CALLS = [(k, n) for k in range(4) for n in (0, 1, 2, 5, 9, 14)]
+
+
+class TestOrderedRunningProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(ORDERED_CALLS))
+    def test_any_call_order(self, calls):
+        for k, n in calls:
+            vp = virtual_ordered(k, n)
+            assert (vp.poly, vp.k, vp.n, vp.space) == (_falling_by_hand(k, n), k, n, "ordered")
+
+    def test_deep_call_on_a_cold_store(self, monkeypatch):
+        monkeypatch.setattr(virtual, "_ORDERED", {})
+        vp = virtual_ordered(3, 1500)
+        assert vp.poly.degree() == 3000
+        assert vp.poly.coefficient(2998) == -sum(range(3, 1503))
+
+    def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
+        real = virtual.virtual_ordered
+
+        def typo(k, n):
+            if (k, n) == (2, 3):
+                return VirtualPoly(LaurentPoly({4: -8, 2: 26, 0: -24}), k, n, "ordered")
+            return real(k, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(virtual, "virtual_ordered", typo)
+            assert duality.FAMILIES["virtual-ordered"](2, 6)[3] == LaurentPoly(
+                {4: -8, 2: 26, 0: -24}
+            )
+            assert not duality.check_duality(2, 6, "ordered").all_match()
+        expected = tuple(_falling_by_hand(2, n) for n in range(7))
+        assert duality.FAMILIES["virtual-ordered"](2, 6) == expected
+        assert duality.check_duality(2, 6, "ordered").all_match()
