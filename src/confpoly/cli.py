@@ -190,22 +190,18 @@ def _cmd_verify(parser, args) -> int:
         _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
     spaces = ("unordered", "ordered") if args.space == "both" else (args.space,)
     primes = _parse_primes(parser, args.primes)
-    if suite in ("all", "pointcount"):
-        size = verify.pointcount_size(primes, args.max_n)
-        _require(
-            parser, size <= ffield.ENUMERATION_BUDGET,
-            f"pointcount would enumerate {size} polynomials, over the budget of "
-            f"{ffield.ENUMERATION_BUDGET}; lower --max-n or drop primes from --primes",
-        )
 
-    summary, results = verify.run_suites(
-        [suite],
-        only_k=args.k,
-        max_k=args.max_k,
-        max_n=args.max_n,
-        spaces=spaces,
-        primes=primes,
-    )
+    try:
+        summary, results = verify.run_suites(
+            [suite],
+            only_k=args.k,
+            max_k=args.max_k,
+            max_n=args.max_n,
+            spaces=spaces,
+            primes=primes,
+        )
+    except ffield.TooLargeError as exc:
+        parser.error(f"{exc}; lower --max-n or drop primes from --primes")
 
     if suite == "all":
         for name in summary.suites:

@@ -1,4 +1,4 @@
-"""Integer sequences: pyramidal numbers, binomials, Stirling numbers.
+"""Integer sequences: pyramidal numbers and Stirling numbers.
 
 The k-dimensional pyramidal numbers P(k, i) are the k-fold iterated
 partial sums of the constant sequence 1, seeded by the row P(-1, i) =
@@ -21,13 +21,6 @@ from functools import cache
 
 class KOutOfRangeError(ValueError):
     """Pyramidal numbers are only defined for k >= -1."""
-
-
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient C(n, r); zero whenever r lies outside [0, n]."""
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
 
 
 # A cold recursion from (k, i) nests k + i calls deep.  So a call whose
@@ -66,7 +59,7 @@ def pyramidal_closed_form(k: int, i: int) -> int:
         raise KOutOfRangeError(f"closed form needs k >= 0, got {k}")
     if i < 0:
         return 0
-    return binomial(i + k, i)
+    return math.comb(i + k, i)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,13 @@ def undualize_series(s: TruncSeries) -> TruncSeries:
 
 def _per_n(poly_of):
     """Lift a per-n route to a family entry: (k, max_n) -> polys for n = 0..max_n."""
-    return lambda k, max_n: tuple(poly_of(k, n) for n in range(max_n + 1))
+
+    def family(k: int, max_n: int) -> tuple[LaurentPoly, ...]:
+        if max_n < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return tuple(poly_of(k, n) for n in range(max_n + 1))
+
+    return family
 
 
 # Every (kind, space) route, keyed by the CLI family names.  Each entry maps

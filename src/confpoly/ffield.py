@@ -116,9 +116,6 @@ class FieldPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldPoly):
             return NotImplemented
@@ -135,13 +132,6 @@ class FieldPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % q
-        return FieldPoly._reduced(self.field, out)
-
-    def __sub__(self, other: "FieldPoly") -> "FieldPoly":
-        q = self.field.q
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % q
         return FieldPoly._reduced(self.field, out)
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
@@ -308,17 +298,6 @@ def clear_caches() -> None:
         table.cache_clear()
 
 
-def is_squarefree_by_sieve(f: FieldPoly) -> bool:
-    """Second squarefree test: f is not among the products g*g*h of
-    :func:`_square_multiples`.  Used to cross-check the gcd-based test;
-    deliberately shares no code with it."""
-    if f.is_zero():
-        return False
-    f = f.monic()
-    _check_size(f.field.q, f.degree())
-    return not _square_sieve(f.field.q, f.degree())[_index(f)]
-
-
 def squarefree_disagreements(q: int, n: int, limit: int = 1) -> list[FieldPoly]:
     """Monic degree-n polynomials on which the two squarefree tests differ.
 
@@ -392,14 +371,14 @@ def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:
             OracleReport(
                 q, k, n, "ordered",
                 count_ordered_configs(q, k, n),
-                virtual.virtual_ordered(k, n).eval_x_squared(q),
+                virtual.virtual_ordered(k, n).poly.eval_x_squared(q),
             )
         )
         reports.append(
             OracleReport(
                 q, k, n, "unordered",
                 count_squarefree_coprime(q, k, n),
-                unordered.coefficient(n).eval_x_squared(q),
+                unordered[n].eval_x_squared(q),
             )
         )
     return reports

@@ -58,19 +58,7 @@ class LaurentPoly:
     def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def monomial(cls, c: int, e: int) -> "LaurentPoly":
-        return cls({e: c})
-
-    @property
-    def terms(self) -> Mapping[int, int]:
-        """Exponent -> coefficient map (a copy; instances stay immutable)."""
-        return dict(self._terms)
-
     def coefficient(self, e: int) -> int:
-        return self._terms.get(e, 0)
-
-    def __getitem__(self, e: int) -> int:
         return self._terms.get(e, 0)
 
     def support(self) -> tuple[int, ...]:
@@ -109,18 +97,6 @@ class LaurentPoly:
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
         other = _as_poly(other)
@@ -291,14 +267,11 @@ class TruncSeries:
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         return self._coeffs
 
-    def coefficient(self, j: int) -> LaurentPoly:
+    def __getitem__(self, j: int) -> LaurentPoly:
         """Coefficient of y^j (zero beyond the truncation order is an error)."""
         if not 0 <= j <= self._order:
             raise IndexError(f"y^{j} is outside truncation order {self._order}")
         return self._coeffs[j]
-
-    def __getitem__(self, j: int) -> LaurentPoly:
-        return self.coefficient(j)
 
     def _match(self, other: "TruncSeries") -> None:
         if self._order != other._order:
@@ -316,21 +289,6 @@ class TruncSeries:
         )
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self._order, [-a for a in self._coeffs])
-
-    def __sub__(self, other: Union[int, LaurentPoly, "TruncSeries"]) -> "TruncSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Union[int, LaurentPoly, "TruncSeries"]) -> "TruncSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: Union[int, LaurentPoly, "TruncSeries"]) -> "TruncSeries":
         other = self._coerce(other)

@@ -182,7 +182,7 @@ def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
 
 def _ordered_shape(k: int, n: int) -> tuple[bool, str]:
     p = poincare.poincare_ordered(k, n)
-    if any(c < 0 for c in p.terms.values()):
+    if any(p.coefficient(e) < 0 for e in p.support()):
         return False, f"negative coefficient in {p}"
     if p.coefficient(0) != 1:
         return False, f"constant term {p.coefficient(0)} != 1"
@@ -388,7 +388,10 @@ def run_suites(
     """Run the named suites (or all of them) and collect every check.
 
     ``max_k``/``max_n`` override each suite's documented default range;
-    ``only_k`` restricts configuration-space checks to a single k."""
+    ``only_k`` restricts configuration-space checks to a single k.  If
+    pointcount is among the suites and would enumerate more than
+    ``ffield.ENUMERATION_BUDGET`` polynomials, ``ffield.TooLargeError`` is
+    raised before any suite runs."""
     wanted = set(names)
     unknown = wanted - set(SUITES) - {"all"}
     if unknown:
@@ -396,6 +399,13 @@ def run_suites(
 
     scope = Scope(max_k, max_n, only_k, tuple(spaces), tuple(primes))
     ran = tuple(s for s in SUITES if s in wanted or "all" in wanted)
+    if "pointcount" in ran:
+        size = pointcount_size(scope.primes, max_n)
+        if size > ffield.ENUMERATION_BUDGET:
+            raise ffield.TooLargeError(
+                f"pointcount would enumerate {size} polynomials, over the budget "
+                f"of {ffield.ENUMERATION_BUDGET}"
+            )
     start = time.perf_counter()
     results: list[CheckResult] = []
     for name in ran:

@@ -51,10 +51,6 @@ class VirtualPoly:
         if self.k < 0 or self.n < 0:
             raise ValueError("k and n must be nonnegative")
 
-    def eval_x_squared(self, v: int) -> int:
-        """Value after substituting x^2 -> v (a point count when v = q)."""
-        return self.poly.eval_x_squared(v)
-
 
 # k -> (n, the product of the first n factors): the last falling-factorial
 # product made for each k, so a sweep over n = 0, 1, 2, ... costs one factor
@@ -110,4 +106,4 @@ def virtual_unordered(k: int, n: int) -> VirtualPoly:
     if k < 0 or n < 0:
         raise ValueError("k and n must be nonnegative")
     series = virtual_unordered_series(k, n)
-    return VirtualPoly(series.coefficient(n), k, n, "unordered")
+    return VirtualPoly(series[n], k, n, "unordered")

@@ -1,11 +1,10 @@
-"""Pyramidal numbers, binomials, Stirling numbers, and their cross-identities."""
+"""Pyramidal numbers, Stirling numbers, and their cross-identities."""
 
 import pytest
 
 from confpoly.combinatorics import (
     KOutOfRangeError,
     PyramidalTable,
-    binomial,
     pyramidal,
     pyramidal_closed_form,
     stirling_first_unsigned,
@@ -76,18 +75,6 @@ class TestPyramidal:
         for k, i in [(0, 1200), (1200, 1), (3, 1500)]:
             pyramidal.cache_clear()
             assert pyramidal(k, i) == math.comb(i + k, i)
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(6, 4) == 15
-        assert binomial(6, 4) == pyramidal(2, 4)
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
 
 
 class TestStirling:

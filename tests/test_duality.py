@@ -129,6 +129,11 @@ class TestFamilies:
             for order in range(13):
                 assert list(FAMILIES[family](k, order)) == last[: order + 1]
 
+    @pytest.mark.parametrize("family", list(PER_N))
+    def test_negative_truncation_rejected(self, family):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            FAMILIES[family](2, -1)
+
     @pytest.mark.parametrize(
         "family, module, name",
         [

@@ -253,6 +253,6 @@ class TestRendering:
     def test_coefficient_bounds(self):
         s = TruncSeries(2, [1])
         with pytest.raises(IndexError):
-            s.coefficient(3)
+            s[3]
         with pytest.raises(IndexError):
-            s.coefficient(-1)
+            s[-1]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,12 @@ class TestRunSuites:
     def test_single_k_restriction(self):
         _, results = run_suites(["duality"], only_k=2, max_n=5)
         assert {r.k for r in results} == {2}
+
+    def test_pointcount_over_budget_raises_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ffield.TooLargeError, match="over the budget"):
+            run_suites(["pointcount"], max_n=9, primes=(5,))
+        assert time.perf_counter() - start < 1.0
 
     def test_all_names_every_suite(self):
         summary, _ = run_suites(["all"], max_k=1, max_n=3, primes=(2,))

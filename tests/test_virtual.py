@@ -17,6 +17,8 @@ from confpoly.virtual import (
     virtual_unordered_series,
 )
 
+from by_hand import ORDERED_CALLS, falling_by_hand
+
 
 class TestVirtualOrdered:
     def test_two_punctures_three_points(self):
@@ -42,7 +44,7 @@ class TestVirtualOrdered:
             for n in range(7):
                 for q in (2, 3, 5, 11):
                     expected = math.prod(q - k - j for j in range(n))
-                    assert virtual_ordered(k, n).eval_x_squared(q) == expected
+                    assert virtual_ordered(k, n).poly.eval_x_squared(q) == expected
 
 
 class TestVirtualUnorderedSeries:
@@ -104,24 +106,13 @@ class TestShapeInvariants:
             virtual_unordered_series(-1, 2)
 
 
-def _falling_by_hand(k, n):
-    product = ONE
-    for j in range(n):
-        product = product * LaurentPoly({2: 1, 0: -(k + j)})
-    return product
-
-
-# every k with n both small and large, so a shuffle walks n up and down
-ORDERED_CALLS = [(k, n) for k in range(4) for n in (0, 1, 2, 5, 9, 14)]
-
-
 class TestOrderedRunningProduct:
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(ORDERED_CALLS))
     def test_any_call_order(self, calls):
         for k, n in calls:
             vp = virtual_ordered(k, n)
-            assert (vp.poly, vp.k, vp.n, vp.space) == (_falling_by_hand(k, n), k, n, "ordered")
+            assert (vp.poly, vp.k, vp.n, vp.space) == (falling_by_hand(k, n), k, n, "ordered")
 
     def test_deep_call_on_a_cold_store(self, monkeypatch):
         monkeypatch.setattr(virtual, "_ORDERED", {})
@@ -143,6 +134,6 @@ class TestOrderedRunningProduct:
                 {4: -8, 2: 26, 0: -24}
             )
             assert not duality.check_duality(2, 6, "ordered").all_match()
-        expected = tuple(_falling_by_hand(2, n) for n in range(7))
+        expected = tuple(falling_by_hand(2, n) for n in range(7))
         assert duality.FAMILIES["virtual-ordered"](2, 6) == expected
         assert duality.check_duality(2, 6, "ordered").all_match()
