@@ -8,6 +8,7 @@ invocations; diagnostics (timing) go to standard error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -20,6 +21,7 @@ N_LIMIT = 64
 SERIES_FAMILIES = tuple(duality.FAMILIES)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confpoly",
@@ -167,6 +169,7 @@ def _parse_primes(parser, raw: str) -> tuple[int, ...]:
             ffield.PrimeField(q)
         except ValueError as exc:
             parser.error(f"--primes: {exc}")
+    _require(parser, len(set(primes)) == len(primes), f"--primes repeats a prime: {raw!r}")
     return primes
 
 

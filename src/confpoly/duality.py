@@ -51,7 +51,7 @@ def dualize_series(s: TruncSeries) -> TruncSeries:
     """
     out = []
     for n, c in enumerate(s.coeffs):
-        if not c.is_zero():
+        if c:
             if c.valuation() < 0:
                 raise DegreeTooHighError(
                     f"y^{n} coefficient {c} has negative exponents"

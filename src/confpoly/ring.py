@@ -10,10 +10,10 @@ Two immutable ring types live here:
 
 ``TruncSeries``
     A power series in ``y`` truncated at a fixed order ``N``, whose
-    coefficients are ``LaurentPoly`` values.  Arithmetic agrees with full
-    power-series arithmetic modulo ``y^(N+1)``.  The truncation order is
-    part of the value; mixing orders raises instead of silently
-    re-truncating.
+    coefficients are ``LaurentPoly`` values.  Arithmetic takes series only
+    and agrees with full power-series arithmetic modulo ``y^(N+1)``.  The
+    truncation order is part of the value; mixing orders raises instead of
+    silently re-truncating.
 
 All coefficients are Python ints (arbitrary precision), never floats, so
 every comparison in the test suite is an exact equality.
@@ -54,18 +54,11 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, int] | None = None):
         self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -102,12 +95,7 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return _dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -152,6 +140,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant hashes like the int it equals
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
@@ -196,6 +187,17 @@ def _as_poly(value) -> LaurentPoly:
     if isinstance(value, int):
         return LaurentPoly({0: value})
     return NotImplemented
+
+
+def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """Sum of ``a * b`` over the pairs: the one loop that multiplies terms."""
+    out: dict[int, int] = {}
+    for a, b in pairs:
+        for e1, c1 in a._terms.items():
+            for e2, c2 in b._terms.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+    return LaurentPoly(out)
 
 
 def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -279,33 +281,23 @@ class TruncSeries:
                 f"series orders differ: {self._order} vs {other._order}"
             )
 
-    def __add__(self, other: Union[int, LaurentPoly, "TruncSeries"]) -> "TruncSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
         return TruncSeries(
             self._order, [a + b for a, b in zip(self._coeffs, other._coeffs)]
         )
 
-    __radd__ = __add__
-
-    def __mul__(self, other: Union[int, LaurentPoly, "TruncSeries"]) -> "TruncSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        out = [ZERO] * (self._order + 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self._order + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self._order, out)
-
-    __rmul__ = __mul__
+        # y^m pairs a[i] with b[m - i]; zip stops at b[0]
+        a, b = self._coeffs, other._coeffs
+        return TruncSeries(
+            self._order, [_dot(zip(a, b[m::-1])) for m in range(self._order + 1)]
+        )
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -338,23 +330,10 @@ class TruncSeries:
                 f"y^0 coefficient {a0} has non-unit coefficient {c}"
             )
         b0 = LaurentPoly({-e: c})
-        out = [b0]
+        a, out = self._coeffs, [b0]
         for m in range(1, self._order + 1):
-            acc = ZERO
-            for i in range(1, m + 1):
-                ai = self._coeffs[i]
-                if not ai.is_zero():
-                    acc = acc + ai * out[m - i]
-            out.append(-(b0 * acc))
+            out.append(-(b0 * _dot(zip(a[1 : m + 1], reversed(out)))))
         return TruncSeries(self._order, out)
-
-    def _coerce(self, value):
-        if isinstance(value, TruncSeries):
-            return value
-        p = _as_poly(value)
-        if p is NotImplemented:
-            return NotImplemented
-        return TruncSeries(self._order, [p])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):

@@ -201,7 +201,7 @@ def _ordered_shape(k: int, n: int) -> tuple[bool, str]:
 def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     if any(e % 2 or e < 0 for e in p.support()):
         return False, f"support {p.support()} not contained in even exponents"
-    if p.is_zero() or p.degree() != 2 * n:
+    if not p or p.degree() != 2 * n:
         return False, f"{p} is not of degree {2 * n}"
     if p.coefficient(2 * n) != 1:
         return False, f"{p} is not monic"
@@ -266,7 +266,7 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
 
         def pyramidal_coeff(i: int) -> tuple[bool, str]:
             got = pyramidal_gf[i]
-            expected = LaurentPoly.constant(combinatorics.pyramidal(k, i))
+            expected = LaurentPoly({0: combinatorics.pyramidal(k, i)})
             if got == expected:
                 return True, ""
             return False, f"1/(1-y)^{k + 1} coefficient {got} != {expected}"
@@ -280,7 +280,7 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
 
         def stable_coeff(j: int) -> tuple[bool, str]:
             got = stable_gf[j]
-            expected = LaurentPoly.constant(poincare.stable_betti(k, j))
+            expected = LaurentPoly({0: poincare.stable_betti(k, j)})
             if got == expected:
                 return True, ""
             return False, f"(1+y)/(1-y)^{k} coefficient {got} != {expected}"

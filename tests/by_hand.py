@@ -1,7 +1,9 @@
-"""The ordered products, multiplied out one factor at a time.
+"""Products written out by hand, each once and nowhere else in the tests.
 
-Both running-product stores are checked against these, so each product
-is written out here once and nowhere else in the tests.
+The ordered products are multiplied out one factor at a time, and both
+running-product stores are checked against them. The series product is
+a plain convolution over exponent dicts, against which ``TruncSeries``
+multiplication is checked.
 """
 
 from confpoly.ring import ONE, LaurentPoly
@@ -24,3 +26,18 @@ def falling_by_hand(k, n):
     for j in range(n):
         product = product * LaurentPoly({2: 1, 0: -(k + j)})
     return product
+
+
+def series_product_by_hand(a, b):
+    """One {exponent: coefficient} dict per power of y in a * b."""
+    out = []
+    for m in range(a.order + 1):
+        terms = {}
+        for i in range(m + 1):
+            p, q = a[i], b[m - i]
+            for e1 in p.support():
+                for e2 in q.support():
+                    c = p.coefficient(e1) * q.coefficient(e2)
+                    terms[e1 + e2] = terms.get(e1 + e2, 0) + c
+        out.append({e: c for e, c in terms.items() if c})
+    return out

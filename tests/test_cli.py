@@ -202,7 +202,7 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("primes", ["2,three", "4", "101", "1"])
+    @pytest.mark.parametrize("primes", ["2,three", "4", "101", "1", "2,2", "3,2,3"])
     def test_bad_primes(self, capsys, primes):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "pointcount", "--primes", primes])
@@ -274,3 +274,25 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        calls = [
+            ["series", "--family", "nonsense", "-k", "5", "--order", "10"],
+            ["series", "--family", "virtual-ordered", "-k", "99", "--order", "10"],
+            ["series", "--family", "virtual-ordered", "-k", "5", "--order", "10"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(outcome(argv))
+        assert [code for code, _, _ in alone] == [2, 2, 0]
+        assert [outcome(argv) for argv in calls + calls] == alone + alone
+        assert cli.build_parser() is cli.build_parser()

@@ -66,7 +66,7 @@ class TestPyramidal:
         for k in range(7):
             gf = (TruncSeries(12, [1, -1]) ** (k + 1)).inverse()
             for i in range(13):
-                assert gf[i] == LaurentPoly.constant(pyramidal(k, i))
+                assert gf[i] == LaurentPoly({0: pyramidal(k, i)})
 
     def test_deep_calls_on_a_cold_cache(self):
         # k + i far past the interpreter's default recursion limit
@@ -98,7 +98,7 @@ class TestStirling:
     def test_product_coefficients(self):
         # x^i coefficient of (1+x)(1+2x)...(1+(n-1)x) is c(n, n-i)
         for n in range(1, 9):
-            product = LaurentPoly.constant(1)
+            product = LaurentPoly({0: 1})
             for j in range(1, n):
                 product = product * LaurentPoly({0: 1, 1: j})
             for i in range(n):

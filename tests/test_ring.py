@@ -20,6 +20,8 @@ from confpoly.ring import (
     substitute_duality_inverse,
 )
 
+from by_hand import series_product_by_hand
+
 
 def P(terms):
     return LaurentPoly(terms)
@@ -66,6 +68,7 @@ class TestStoredForm:
         assert hash(a + other) == hash(other + a)
         const = terms.get(0, 0)
         assert LaurentPoly({1: 0, 0: const}) == const
+        assert hash(LaurentPoly({1: 0, 0: const})) == hash(const)
 
     def test_docstring_examples(self):
         failed, attempted = doctest.testmod(ring)
@@ -138,10 +141,10 @@ class TestSubstituteDuality:
 
     @given(polys_nonneg, st.integers(0, 8))
     def test_lands_in_polynomials(self, p, n):
-        if p.is_zero() or p.degree() > n:
+        if not p or p.degree() > n:
             return
         image = substitute_duality(p, n)
-        assert image.is_zero() or image.valuation() >= 0
+        assert not image or image.valuation() >= 0
         assert all(e % 2 == 0 for e in image.support())
 
 
@@ -172,6 +175,22 @@ class TestSeriesMul:
             TruncSeries(2, [1]) * TruncSeries(3, [1])
         with pytest.raises(OrderMismatchError):
             TruncSeries(2, [1]) + TruncSeries(3, [1])
+
+    @given(series, series)
+    def test_matches_product_by_hand(self, a, b):
+        got = a * b
+        assert [
+            {e: c.coefficient(e) for e in c.support()} for c in got.coeffs
+        ] == series_product_by_hand(a, b)
+
+    def test_operands_must_be_series(self):
+        s = TruncSeries(2, [ONE, X])
+        with pytest.raises(TypeError):
+            s * 2
+        with pytest.raises(TypeError):
+            2 * s
+        with pytest.raises(TypeError):
+            s + X
 
     @given(series, series, series)
     def test_ring_axioms(self, a, b, c):
