@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional
 
-from . import combinatorics, duality, ffield, verify
+from . import combinatorics, duality, ffield, verify, virtual
 
 K_LIMIT = 32
 N_LIMIT = 64
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     pyr.set_defaults(run=_cmd_table_pyramidal, parser=pyr)
 
     betti = table_sub.add_parser("betti", help="Betti numbers / virtual polynomials")
-    betti.add_argument("--space", choices=("unordered", "ordered"), default="unordered")
+    betti.add_argument("--space", choices=virtual.SPACES, default="unordered")
     betti.add_argument("--kind", choices=("standard", "virtual"), default="standard")
     betti.add_argument("-k", type=int, required=True, help="number of punctures")
     betti.add_argument("--max-n", type=int, required=True)
@@ -61,12 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + verify.SUITES, help="suite to run (default: all)",
     )
     ver.add_argument("--suite", choices=("all",) + verify.SUITES)
-    ver.add_argument("-k", type=int, default=None, help="restrict to a single k")
-    ver.add_argument("--max-k", type=int, default=None)
+    one_k = ver.add_mutually_exclusive_group()
+    one_k.add_argument("-k", type=int, default=None, help="restrict to a single k")
+    one_k.add_argument("--max-k", type=int, default=None)
     ver.add_argument("--max-n", type=int, default=None)
-    ver.add_argument(
-        "--space", choices=("unordered", "ordered", "both"), default="both"
-    )
+    ver.add_argument("--space", choices=virtual.SPACES + ("both",), default="both")
     ver.add_argument(
         "--primes",
         default=",".join(map(str, verify.DEFAULT_PRIMES)),
@@ -160,17 +159,9 @@ def _cmd_series(parser, args) -> int:
 
 def _parse_primes(parser, raw: str) -> tuple[int, ...]:
     try:
-        primes = tuple(int(p) for p in raw.split(",") if p.strip())
+        return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError:
         parser.error(f"--primes must be comma-separated integers, got {raw!r}")
-    _require(parser, bool(primes), "--primes must name at least one prime")
-    for q in primes:
-        try:
-            ffield.PrimeField(q)
-        except ValueError as exc:
-            parser.error(f"--primes: {exc}")
-    _require(parser, len(set(primes)) == len(primes), f"--primes repeats a prime: {raw!r}")
-    return primes
 
 
 def _format_check(c: verify.CheckResult) -> str:
@@ -191,18 +182,15 @@ def _cmd_verify(parser, args) -> int:
         _require(parser, 0 <= args.max_k <= K_LIMIT, f"--max-k must be in [0, {K_LIMIT}]")
     if args.max_n is not None:
         _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
-    spaces = ("unordered", "ordered") if args.space == "both" else (args.space,)
+    spaces = virtual.SPACES if args.space == "both" else (args.space,)
     primes = _parse_primes(parser, args.primes)
+    try:
+        scope = verify.Scope(args.max_k, args.max_n, args.k, spaces, primes)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
-        summary, results = verify.run_suites(
-            [suite],
-            only_k=args.k,
-            max_k=args.max_k,
-            max_n=args.max_n,
-            spaces=spaces,
-            primes=primes,
-        )
+        summary, results = verify.run_suites([suite], scope)
     except ffield.TooLargeError as exc:
         parser.error(f"{exc}; lower --max-n or drop primes from --primes")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import virtual
 
@@ -47,6 +47,17 @@ FIELD_SIZE_LIMIT = 100
 
 class TooLargeError(ValueError):
     """The requested enumeration exceeds the tuple budget."""
+
+
+def check_budget(primes: Iterable[int], max_n: int) -> None:
+    """Raise TooLargeError if enumerating the q^n monic polynomials (and as
+    many n-tuples) of each prime q and each n <= max_n passes the budget."""
+    size = sum(q**n for q in primes for n in range(max_n + 1))
+    if size > ENUMERATION_BUDGET:
+        raise TooLargeError(
+            f"pointcount would enumerate {size} polynomials, over the budget "
+            f"of {ENUMERATION_BUDGET}"
+        )
 
 
 def _check_size(q: int, n: int) -> None:

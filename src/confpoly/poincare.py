@@ -68,8 +68,12 @@ def unordered_series(k: int, order: int) -> TruncSeries:
 
 
 def napolitano_step(q: TruncSeries) -> TruncSeries:
-    """Pass from k punctures to k+1: multiply by 1/(1 - x*y)."""
-    return q * TruncSeries(q.order, [ONE, -X]).inverse()
+    """Pass from k punctures to k+1: multiply by 1/(1 - x*y), as the running
+    sum c'_0 = c_0, c'_n = c_n + x*c'_(n-1), with no series inverted."""
+    out: list[LaurentPoly] = []
+    for c in q.coeffs:
+        out.append(c + X * out[-1] if out else c)
+    return TruncSeries(q.order, out)
 
 
 def stable_betti(k: int, j: int) -> int:

@@ -33,8 +33,6 @@ from .ring import ONE, LaurentPoly, TruncSeries
 
 SUITES = ("recursions", "series", "duality", "pointcount", "euler")
 
-BOTH_SPACES = ("unordered", "ordered")
-
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
@@ -86,13 +84,26 @@ class Scope:
 
     A bound left as None means the suite's own default.  ``only_k``
     narrows every per-k loop to that k, and ``spaces`` drops the cells of
-    the other space (cells with space '-' always stay)."""
+    the other space (cells with space '-' always stay).  A scope no run
+    can honour raises ValueError when made, before any suite sees it."""
 
     max_k: Optional[int] = None
     max_n: Optional[int] = None
     only_k: Optional[int] = None
-    spaces: tuple[str, ...] = BOTH_SPACES
+    spaces: tuple[str, ...] = virtual.SPACES
     primes: tuple[int, ...] = DEFAULT_PRIMES
+
+    def __post_init__(self):
+        if not self.primes or len(set(self.primes)) < len(self.primes):
+            raise ValueError(f"primes must be one or more distinct primes: {self.primes}")
+        for q in self.primes:
+            ffield.PrimeField(q)  # raises for a non-prime or one past the size policy
+        if self.only_k is not None and self.max_k is not None:
+            raise ValueError("only_k and max_k exclude each other")
+        if any(b is not None and b < 0 for b in (self.max_k, self.max_n, self.only_k)):
+            raise ValueError(f"bounds must be nonnegative: {self}")
+        if not self.spaces or len(set(self.spaces) & set(virtual.SPACES)) < len(self.spaces):
+            raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {self.spaces}")
 
     def n(self, default: int) -> int:
         """``max_n``, or the suite's default n bound."""
@@ -321,13 +332,6 @@ def suite_duality(scope: Scope) -> Iterator[CheckResult]:
 POINTCOUNT_MAX_N = 5
 
 
-def pointcount_size(primes: Iterable[int], max_n: Optional[int] = None) -> int:
-    """Monic polynomials :func:`suite_pointcount` enumerates (and as many
-    n-tuples): q^n summed over the primes and every n <= max_n."""
-    max_n = POINTCOUNT_MAX_N if max_n is None else max_n
-    return sum(q**n for q in primes for n in range(max_n + 1))
-
-
 def suite_pointcount(scope: Scope) -> Iterator[CheckResult]:
     """k <= 3 (and k < q), n <= 5."""
     max_n = scope.n(POINTCOUNT_MAX_N)
@@ -377,35 +381,21 @@ def suite_euler(scope: Scope) -> Iterator[CheckResult]:
 
 
 def run_suites(
-    names: Iterable[str],
-    *,
-    only_k: Optional[int] = None,
-    max_k: Optional[int] = None,
-    max_n: Optional[int] = None,
-    spaces: Iterable[str] = BOTH_SPACES,
-    primes: Iterable[int] = DEFAULT_PRIMES,
+    names: Iterable[str], scope: Scope = Scope()
 ) -> tuple[VerifySummary, list[CheckResult]]:
-    """Run the named suites (or all of them) and collect every check.
+    """Run the named suites (or all of them) over ``scope``; collect every check.
 
-    ``max_k``/``max_n`` override each suite's documented default range;
-    ``only_k`` restricts configuration-space checks to a single k.  If
-    pointcount is among the suites and would enumerate more than
-    ``ffield.ENUMERATION_BUDGET`` polynomials, ``ffield.TooLargeError`` is
-    raised before any suite runs."""
+    An unknown suite name raises ValueError, and a pointcount run past
+    ``ffield.ENUMERATION_BUDGET`` raises ``ffield.TooLargeError``, both
+    before any suite runs."""
     wanted = set(names)
     unknown = wanted - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
 
-    scope = Scope(max_k, max_n, only_k, tuple(spaces), tuple(primes))
     ran = tuple(s for s in SUITES if s in wanted or "all" in wanted)
     if "pointcount" in ran:
-        size = pointcount_size(scope.primes, max_n)
-        if size > ffield.ENUMERATION_BUDGET:
-            raise ffield.TooLargeError(
-                f"pointcount would enumerate {size} polynomials, over the budget "
-                f"of {ffield.ENUMERATION_BUDGET}"
-            )
+        ffield.check_budget(scope.primes, scope.n(POINTCOUNT_MAX_N))
     start = time.perf_counter()
     results: list[CheckResult] = []
     for name in ran:

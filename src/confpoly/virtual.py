@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .ring import ONE, LaurentPoly, TruncSeries
 
-SPACES = ("ordered", "unordered")
+SPACES = ("unordered", "ordered")
 
 _X2 = LaurentPoly({2: 1})
 

@@ -218,10 +218,27 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: confpoly verify ")
-        assert "--max-n" in captured.err and "--primes" in captured.err
+        # the usage line names every flag; the error line must still ask for
+        # the two that price the run
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("confpoly verify: error: pointcount would enumerate ")
+        assert error.endswith("; lower --max-n or drop primes from --primes")
+
+    def test_k_with_max_k_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "duality", "-k", "5", "--max-k", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: confpoly verify ")
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("confpoly verify: error: ")
+        assert "--max-k" in error and " -k" in error.replace("--max-k", "")
 
     def test_pointcount_budget_fits_q7_to_n7(self):
-        assert verify.pointcount_size(verify.DEFAULT_PRIMES, 7) <= ffield.ENUMERATION_BUDGET
+        ffield.check_budget(verify.DEFAULT_PRIMES, 7)
+        with pytest.raises(ffield.TooLargeError):
+            ffield.check_budget(verify.DEFAULT_PRIMES, 8)
 
     def test_k_narrows_pointcount(self, capsys):
         code, out, _ = run_cli(

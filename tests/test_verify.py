@@ -13,9 +13,11 @@ import confpoly.combinatorics as combinatorics
 import confpoly.duality as duality
 import confpoly.ffield as ffield
 import confpoly.poincare as poincare
+import confpoly.verify as verify
+import confpoly.virtual as virtual
 from confpoly import cli
-from confpoly.ring import X, TruncSeries
-from confpoly.verify import SUITES, run_suites
+from confpoly.ring import X, LaurentPoly, TruncSeries
+from confpoly.verify import SUITES, Scope, run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,7 +28,7 @@ class TestRunSuites:
             run_suites(["nonsense"])
 
     def test_duality_suite_green(self):
-        summary, results = run_suites(["duality"], max_k=3, max_n=6)
+        summary, results = run_suites(["duality"], Scope(max_k=3, max_n=6))
         assert summary.ok
         assert summary.failed == 0
         assert summary.first_failure is None
@@ -34,37 +36,169 @@ class TestRunSuites:
         assert summary.suites == ("duality",)
 
     def test_recursions_suite_green(self):
-        summary, _ = run_suites(["recursions"], max_k=4, max_n=8)
+        summary, _ = run_suites(["recursions"], Scope(max_k=4, max_n=8))
         assert summary.ok
 
     def test_euler_suite_green(self):
-        summary, _ = run_suites(["euler"], max_k=3, max_n=6)
+        summary, _ = run_suites(["euler"], Scope(max_k=3, max_n=6))
         assert summary.ok
 
     def test_series_suite_green(self):
-        summary, _ = run_suites(["series"], max_k=3, max_n=8)
+        summary, _ = run_suites(["series"], Scope(max_k=3, max_n=8))
         assert summary.ok
 
     def test_pointcount_suite_green_small(self):
-        summary, results = run_suites(["pointcount"], primes=(2, 3), max_n=4)
+        summary, results = run_suites(["pointcount"], Scope(primes=(2, 3), max_n=4))
         assert summary.ok
         assert any(r.space == "ordered" for r in results)
         assert any(r.space == "unordered" for r in results)
 
     def test_single_k_restriction(self):
-        _, results = run_suites(["duality"], only_k=2, max_n=5)
+        _, results = run_suites(["duality"], Scope(only_k=2, max_n=5))
         assert {r.k for r in results} == {2}
 
     def test_pointcount_over_budget_raises_before_any_work(self):
         start = time.perf_counter()
         with pytest.raises(ffield.TooLargeError, match="over the budget"):
-            run_suites(["pointcount"], max_n=9, primes=(5,))
+            run_suites(["pointcount"], Scope(max_n=9, primes=(5,)))
         assert time.perf_counter() - start < 1.0
 
     def test_all_names_every_suite(self):
-        summary, _ = run_suites(["all"], max_k=1, max_n=3, primes=(2,))
+        summary, _ = run_suites(["all"], Scope(max_k=1, max_n=3, primes=(2,)))
         assert summary.suites == SUITES
         assert summary.ok
+
+
+class TestScope:
+    """A scope no run can honour is refused when made, before any suite runs."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"primes": (4,)}, "4 is not prime"),
+            ({"primes": (101,)}, "size policy"),
+            ({"primes": (2, 2)}, "distinct primes"),
+            ({"primes": ()}, "distinct primes"),
+            ({"only_k": 5, "max_k": 2}, "exclude each other"),
+            ({"max_k": -1}, "nonnegative"),
+            ({"max_n": -1}, "nonnegative"),
+            ({"only_k": -1}, "nonnegative"),
+            ({"spaces": ()}, "spaces"),
+            ({"spaces": ("diagonal",)}, "spaces"),
+            ({"spaces": ("ordered", "ordered")}, "spaces"),
+        ],
+        ids=[
+            "non-prime", "prime-past-policy", "repeated-prime", "no-prime",
+            "only_k-and-max_k", "negative-max_k", "negative-max_n", "negative-only_k",
+            "no-space", "unknown-space", "repeated-space",
+        ],
+    )
+    def test_bad_scope_raises_before_any_suite(self, monkeypatch, fields, message):
+        ran = []
+        for name in SUITES:
+            monkeypatch.setattr(
+                verify, f"suite_{name}", lambda scope, name=name: ran.append(name) or []
+            )
+        with pytest.raises(ValueError, match=message):
+            run_suites(["all"], Scope(**fields))
+        assert ran == []
+        run_suites(["all"], Scope(max_k=1, max_n=1, primes=(2,)))
+        assert ran == list(SUITES)
+
+
+class TestFailureDetails:
+    """Every failure branch of a cell names its cell and says what went wrong."""
+
+    @staticmethod
+    def _patch_at(monkeypatch, module, name, at, wrong):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args: wrong(real(*args)) if args == at else real(*args)
+        )
+
+    @staticmethod
+    def _first(names, scope):
+        summary, _ = run_suites(names, scope)
+        f = summary.first_failure
+        return (f.suite, f.space, f.k, f.n), f.detail
+
+    @pytest.mark.parametrize(
+        "wrong, detail",
+        [
+            ({3: 24, 2: -26, 1: 9, 0: 1}, "negative coefficient in 24x^3-26x^2+9x+1"),
+            ({3: 24, 2: 26, 1: 9, 0: 2}, "constant term 2 != 1"),
+            ({4: 1, 3: 24, 2: 26, 1: 9, 0: 1}, "degree 4 != 3"),
+            ({3: 25, 2: 26, 1: 9, 0: 1}, "leading coefficient 25 != 24"),
+        ],
+        ids=["negative", "constant", "degree", "leading"],
+    )
+    def test_ordered_shape(self, monkeypatch, wrong, detail):
+        self._patch_at(
+            monkeypatch, poincare, "poincare_ordered", (2, 3), lambda p: LaurentPoly(wrong)
+        )
+        cell = self._first(["series"], Scope(max_k=2, max_n=3))
+        assert cell == (("series", "ordered", 2, 3), detail)
+
+    @pytest.mark.parametrize(
+        "wrong, detail",
+        [
+            ({6: 1, 4: -9, 3: 1, 2: 26, 0: -24}, "support (0, 2, 3, 4, 6) not contained"),
+            ({8: 1, 6: 1, 4: -9, 2: 26, 0: -24}, "x^8+x^6-9x^4+26x^2-24 is not of degree 6"),
+            ({6: 2, 4: -9, 2: 26, 0: -24}, "2x^6-9x^4+26x^2-24 is not monic"),
+        ],
+        ids=["support", "degree", "monic"],
+    )
+    def test_virtual_shape(self, monkeypatch, wrong, detail):
+        def wrong_poly(v):
+            return virtual.VirtualPoly(LaurentPoly(wrong), v.k, v.n, v.space)
+
+        self._patch_at(monkeypatch, virtual, "virtual_ordered", (2, 3), wrong_poly)
+        cell, got = self._first(["series"], Scope(max_k=2, max_n=3))
+        assert cell == ("series", "ordered", 2, 3)
+        assert got.startswith(detail)
+
+    @pytest.mark.parametrize(
+        "module, name, at, detail",
+        [
+            (poincare, "poincare_ordered", (1, 4), "x^2 coefficient 36 != Stirling c(5,3)=35"),
+            (combinatorics, "stirling_first_unsigned", (5, 3),
+             "x^2 coefficient 35 != Stirling c(5,3)=36"),
+        ],
+        ids=["product", "stirling"],
+    )
+    def test_stirling_cell(self, monkeypatch, module, name, at, detail):
+        bump = {poincare: lambda p: p + LaurentPoly({2: 1}), combinatorics: lambda c: c + 1}
+        self._patch_at(monkeypatch, module, name, at, bump[module])
+        cell = self._first(["recursions"], Scope(max_k=1, max_n=2))
+        assert cell == (("recursions", "-", 1, 5), detail)
+
+    @pytest.mark.parametrize(
+        "name, detail",
+        [
+            ("getzler_series_raw", "raw form x^4-3x^2+4 != simplified form x^4-3x^2+3"),
+            ("virtual_unordered_series", "raw form x^4-3x^2+3 != simplified form x^4-3x^2+4"),
+        ],
+        ids=["raw", "simplified"],
+    )
+    def test_forms_agree(self, monkeypatch, name, detail):
+        def bumped(s):
+            coeffs = list(s.coeffs)
+            coeffs[2] = coeffs[2] + 1
+            return TruncSeries(s.order, coeffs)
+
+        self._patch_at(monkeypatch, virtual, name, (2, 3), bumped)
+        cell = self._first(["series"], Scope(max_k=2, max_n=3))
+        assert cell == (("series", "unordered", 2, 2), detail)
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (3, 2)])
+    def test_methods_agree(self, monkeypatch, q, n):
+        offender = ffield.FieldPoly(ffield.PrimeField(q), [1, 2, 1])
+        self._patch_at(
+            monkeypatch, ffield, "squarefree_disagreements", (q, n), lambda bad: [offender]
+        )
+        cell = self._first(["pointcount"], Scope(max_k=1, max_n=2, primes=(2, 3)))
+        detail = f"q={q}: squarefree tests disagree at {offender!r}"
+        assert cell == (("pointcount", "-", 0, n), detail)
 
 
 class TestFailureNaming:
@@ -73,7 +207,7 @@ class TestFailureNaming:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(poincare, "betti_unordered", explode)
-        summary, _ = run_suites(["series"], max_k=1, max_n=2)
+        summary, _ = run_suites(["series"], Scope(max_k=1, max_n=2))
         assert not summary.ok
         first = summary.first_failure
         assert first.suite == "series"
@@ -86,8 +220,12 @@ class TestFailureNaming:
             value = real(k, i)
             return value + 1 if (k, i) == (2, 3) else value
 
-        monkeypatch.setattr(combinatorics, "pyramidal", off_by_one)
-        summary, _ = run_suites(["recursions"])
+        with monkeypatch.context() as m:
+            m.setattr(combinatorics, "pyramidal", off_by_one)
+            summary, _ = run_suites(["recursions"])
+        # the real recursion calls itself through the patched name, so what
+        # it memoized meanwhile may be off by one: forget it
+        real.cache_clear()
         assert not summary.ok
         first = summary.first_failure
         assert (first.suite, first.space, first.k, first.n) == ("recursions", "-", 2, 3)
@@ -105,7 +243,7 @@ class TestFailureNaming:
             return row
 
         monkeypatch.setattr(poincare, "betti_unordered", broken)
-        summary, results = run_suites(["duality"], max_k=2, max_n=4)
+        summary, results = run_suites(["duality"], Scope(max_k=2, max_n=4))
         assert summary.failed == 1
         assert summary.passed + summary.failed == len(results)
         f = summary.first_failure
@@ -134,7 +272,7 @@ class TestFailureNaming:
             return real(*args)
 
         monkeypatch.setattr(module, name, crash_at_k1)
-        _, results = run_suites([suite], max_k=2, max_n=3, primes=(3,))
+        _, results = run_suites([suite], Scope(max_k=2, max_n=3, primes=(3,)))
         failed = [r for r in results if not r.passed]
         assert [(r.space, r.k, r.n) for r in failed] == [(s, 1, -1) for s in spaces]
         assert all("RuntimeError: boom" in r.detail for r in failed)
