@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import combinatorics, duality, ffield, verify, virtual
 
@@ -19,6 +19,19 @@ K_LIMIT = 32
 N_LIMIT = 64
 
 SERIES_FAMILIES = tuple(duality.FAMILIES)
+
+
+def _within(lo: int, hi: int) -> Callable[[str], int]:
+    """The argparse type of a flag limited to the integers in [lo, hi]."""
+
+    def check(text: str) -> int:
+        value = int(text)  # other text is argparse's "invalid int value" error
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}]")
+        return value
+
+    check.__name__ = "int"  # argparse names the type by it
+    return check
 
 
 @functools.cache
@@ -36,23 +49,25 @@ def build_parser() -> argparse.ArgumentParser:
     table_sub = table.add_subparsers(dest="subject", required=True)
 
     pyr = table_sub.add_parser("pyramidal", help="table of pyramidal numbers")
-    pyr.add_argument("--max-k", type=int, default=3)
-    pyr.add_argument("--max-i", type=int, default=4)
+    pyr.add_argument("--max-k", type=_within(-1, K_LIMIT), default=3)
+    pyr.add_argument("--max-i", type=_within(0, N_LIMIT), default=4)
     pyr.add_argument("--format", choices=("csv", "latex"), default="csv")
     pyr.set_defaults(run=_cmd_table_pyramidal, parser=pyr)
 
     betti = table_sub.add_parser("betti", help="Betti numbers / virtual polynomials")
     betti.add_argument("--space", choices=virtual.SPACES, default="unordered")
     betti.add_argument("--kind", choices=("standard", "virtual"), default="standard")
-    betti.add_argument("-k", type=int, required=True, help="number of punctures")
-    betti.add_argument("--max-n", type=int, required=True)
+    betti.add_argument(
+        "-k", type=_within(0, K_LIMIT), required=True, help="number of punctures"
+    )
+    betti.add_argument("--max-n", type=_within(0, N_LIMIT), required=True)
     betti.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
     betti.set_defaults(run=_cmd_table_betti, parser=betti)
 
     series = sub.add_parser("series", help="print generating-series coefficients")
     series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
-    series.add_argument("-k", type=int, required=True)
-    series.add_argument("--order", type=int, required=True)
+    series.add_argument("-k", type=_within(0, K_LIMIT), required=True)
+    series.add_argument("--order", type=_within(0, N_LIMIT), required=True)
     series.set_defaults(run=_cmd_series, parser=series)
 
     ver = sub.add_parser("verify", help="run cross-verification suites")
@@ -62,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--suite", choices=("all",) + verify.SUITES)
     one_k = ver.add_mutually_exclusive_group()
-    one_k.add_argument("-k", type=int, default=None, help="restrict to a single k")
-    one_k.add_argument("--max-k", type=int, default=None)
-    ver.add_argument("--max-n", type=int, default=None)
+    one_k.add_argument("-k", type=_within(0, K_LIMIT), help="restrict to a single k")
+    one_k.add_argument("--max-k", type=_within(0, K_LIMIT))
+    ver.add_argument("--max-n", type=_within(0, N_LIMIT))
     ver.add_argument("--space", choices=virtual.SPACES + ("both",), default="both")
     ver.add_argument(
         "--primes",
@@ -83,17 +98,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 # -- table ------------------------------------------------------------
 
 
-def _require(parser: argparse.ArgumentParser, ok: bool, message: str) -> None:
-    if not ok:
-        parser.error(message)  # exits with status 2
-
-
 def _cmd_table_pyramidal(parser, args) -> int:
-    _require(parser, -1 <= args.max_k <= K_LIMIT, f"--max-k must be in [-1, {K_LIMIT}]")
-    _require(parser, 0 <= args.max_i <= N_LIMIT, f"--max-i must be in [0, {N_LIMIT}]")
-    table = combinatorics.PyramidalTable.build(args.max_k, args.max_i)
+    rows = combinatorics.pyramidal_rows(args.max_k, args.max_i)
     if args.format == "csv":
-        for row in table.rows:
+        for row in rows:
             print(",".join(str(v) for v in row))
     else:
         cols = "c|" + "c" * (args.max_i + 1)
@@ -102,7 +110,7 @@ def _cmd_table_pyramidal(parser, args) -> int:
         print(rf"$k \backslash i$ & {header} \\")
         print(r"\midrule")
         body = []
-        for k, row in zip(range(-1, args.max_k + 1), table.rows):
+        for k, row in zip(range(-1, args.max_k + 1), rows):
             body.append(f"{k} & " + " & ".join(str(v) for v in row))
         print(" \\\\\n".join(body))
         print(r"\end{tabular}")
@@ -110,8 +118,6 @@ def _cmd_table_pyramidal(parser, args) -> int:
 
 
 def _cmd_table_betti(parser, args) -> int:
-    _require(parser, 0 <= args.k <= K_LIMIT, f"-k must be in [0, {K_LIMIT}]")
-    _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
     k, standard = args.k, args.kind == "standard"
     polys = duality.FAMILIES[f"{args.kind}-{args.space}"](k, args.max_n)
 
@@ -147,8 +153,6 @@ def _cmd_table_betti(parser, args) -> int:
 
 
 def _cmd_series(parser, args) -> int:
-    _require(parser, 0 <= args.k <= K_LIMIT, f"-k must be in [0, {K_LIMIT}]")
-    _require(parser, 0 <= args.order <= N_LIMIT, f"--order must be in [0, {N_LIMIT}]")
     for coeff in duality.FAMILIES[args.family](args.k, args.order):
         print(coeff)
     return 0
@@ -176,12 +180,6 @@ def _cmd_verify(parser, args) -> int:
     suite = args.suite_pos or args.suite or "all"
     if args.suite_pos and args.suite and args.suite_pos != args.suite:
         parser.error(f"conflicting suites: {args.suite_pos} vs {args.suite}")
-    if args.k is not None:
-        _require(parser, 0 <= args.k <= K_LIMIT, f"-k must be in [0, {K_LIMIT}]")
-    if args.max_k is not None:
-        _require(parser, 0 <= args.max_k <= K_LIMIT, f"--max-k must be in [0, {K_LIMIT}]")
-    if args.max_n is not None:
-        _require(parser, 0 <= args.max_n <= N_LIMIT, f"--max-n must be in [0, {N_LIMIT}]")
     spaces = virtual.SPACES if args.space == "both" else (args.space,)
     primes = _parse_primes(parser, args.primes)
     try:

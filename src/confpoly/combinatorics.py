@@ -14,8 +14,8 @@ trusting any single one.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 
 
@@ -49,8 +49,13 @@ def pyramidal(k: int, i: int) -> int:
         for kk in (*range(0, k, _STRIDE), k):
             for ii in (*range(0, i, _STRIDE), i):
                 if (kk, ii) != (k, i):
-                    pyramidal(kk, ii)
-    return pyramidal(k - 1, i) + pyramidal(k, i - 1)
+                    _recurse(kk, ii)
+    return _recurse(k - 1, i) + _recurse(k, i - 1)
+
+
+# the recursion calls itself through this private name, so values memoized
+# while a test patches ``pyramidal`` never come from the patched function
+_recurse = pyramidal
 
 
 def pyramidal_closed_form(k: int, i: int) -> int:
@@ -62,42 +67,20 @@ def pyramidal_closed_form(k: int, i: int) -> int:
     return math.comb(i + k, i)
 
 
-@dataclass(frozen=True)
-class PyramidalTable:
-    """The rectangle of values P(k, i) for -1 <= k <= max_k, 0 <= i <= max_i.
+def pyramidal_rows(max_k: int, max_i: int) -> tuple[tuple[int, ...], ...]:
+    """The rows (P(k, 0), ..., P(k, max_i)) for k = -1..max_k.
 
     Built by running sums row over row (the first recursion), so it is a
     third independent route to the same numbers.
     """
-
-    max_k: int
-    max_i: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, max_k: int, max_i: int) -> "PyramidalTable":
-        if max_k < -1:
-            raise KOutOfRangeError(f"table needs max_k >= -1, got {max_k}")
-        if max_i < 0:
-            raise ValueError(f"table needs max_i >= 0, got {max_i}")
-        row = tuple(1 if i == 0 else 0 for i in range(max_i + 1))
-        rows = [row]
-        for _ in range(max_k + 1):
-            running = 0
-            nxt = []
-            for v in row:
-                running += v
-                nxt.append(running)
-            row = tuple(nxt)
-            rows.append(row)
-        return cls(max_k, max_i, tuple(rows))
-
-    def value(self, k: int, i: int) -> int:
-        if not -1 <= k <= self.max_k:
-            raise KOutOfRangeError(f"k={k} outside table range [-1, {self.max_k}]")
-        if not 0 <= i <= self.max_i:
-            raise ValueError(f"i={i} outside table range [0, {self.max_i}]")
-        return self.rows[k + 1][i]
+    if max_k < -1:
+        raise KOutOfRangeError(f"table needs max_k >= -1, got {max_k}")
+    if max_i < 0:
+        raise ValueError(f"table needs max_i >= 0, got {max_i}")
+    rows = [tuple(1 if i == 0 else 0 for i in range(max_i + 1))]
+    for _ in range(max_k + 1):
+        rows.append(tuple(itertools.accumulate(rows[-1])))
+    return tuple(rows)
 
 
 @cache

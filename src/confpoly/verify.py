@@ -1,12 +1,13 @@
 """Named cross-verification suites.
 
-Every suite walks a documented default range and emits one
-:class:`CheckResult` per cell, labeled by (space, k, n), so a single
-wrong coefficient anywhere surfaces as a named first failure.  Checks
-never raise: an exception inside a cell becomes a failed result for that
-cell, and one while a suite builds the cells of a k becomes one failed
-n = -1 cell for that k.  Default ranges match the acceptance targets and
-keep the whole run comfortably under a minute.
+Every suite walks a documented default range and yields bare cells
+``(space, k, n, passed, detail)``; :func:`run_suites` alone labels them
+with their suite and keeps those of the run's spaces, so a single wrong
+coefficient anywhere surfaces as a named first failure.  Checks never
+raise: an exception inside a cell becomes a failed cell, and one while
+a suite builds the cells of a k becomes one failed n = -1 cell for that
+k.  Default ranges match the acceptance targets and keep the whole run
+comfortably under a minute.
 
 Suites:
 
@@ -61,31 +62,42 @@ class VerifySummary:
         return self.failed == 0
 
 
-def _crashed(
-    suite: str, space: str, k: int, n: int, exc: Exception, prefix: str = ""
-) -> CheckResult:
-    return CheckResult(suite, space, k, n, False, f"{prefix}{type(exc).__name__}: {exc}")
+Cell = tuple[str, int, int, bool, str]  # (space, k, n, passed, detail)
 
 
-def _check(
-    suite: str, space: str, k: int, n: int, fn: Callable[[], tuple[bool, str]]
-) -> CheckResult:
+def _crashed(space: str, k: int, n: int, exc: Exception, prefix: str = "") -> Cell:
+    return space, k, n, False, f"{prefix}{type(exc).__name__}: {exc}"
+
+
+def _cell(space: str, k: int, n: int, check: Callable[..., tuple[bool, str]], *args) -> Cell:
+    """The cell of ``check(*args)``, which returns (passed, detail).  If it
+    raises, a failed cell that names the exception instead."""
     try:
-        ok, detail = fn()
+        ok, detail = check(*args)
     except Exception as exc:  # a crash in one cell must stay one failed cell
-        return _crashed(suite, space, k, n, exc)
-    return CheckResult(suite, space, k, n, ok, detail)
+        return _crashed(space, k, n, exc)
+    return space, k, n, ok, detail
+
+
+def _per_k(space: str, k: int, cells: Iterator[Cell], prefix: str = "") -> list[Cell]:
+    """Every cell of one k, drawn from the generator ``cells``.  If it
+    raises, that k gets a single failed n = -1 cell instead."""
+    try:
+        return list(cells)
+    except Exception as exc:  # a crash in one k must stay one failed cell
+        return [_crashed(space, k, -1, exc, prefix)]
 
 
 @dataclass(frozen=True)
 class Scope:
     """What one run covers; every suite takes one and nothing else, so a
-    new suite is one ``suite_<name>(scope)`` plus its name in :data:`SUITES`.
+    new suite is one cell generator ``suite_<name>(scope)`` plus its name
+    in :data:`SUITES`.
 
     A bound left as None means the suite's own default.  ``only_k``
-    narrows every per-k loop to that k, and ``spaces`` drops the cells of
-    the other space (cells with space '-' always stay).  A scope no run
-    can honour raises ValueError when made, before any suite sees it."""
+    narrows every per-k loop to that k; run_suites keeps only the cells of
+    ``spaces`` and of space '-'.  A scope no run can honour raises
+    ValueError when made, before any suite sees it."""
 
     max_k: Optional[int] = None
     max_n: Optional[int] = None
@@ -115,33 +127,21 @@ class Scope:
             return (self.only_k,)
         return range(lowest, (default_max_k if self.max_k is None else self.max_k) + 1)
 
-    def per_k(
-        self, suite: str, space: str, k: int, cells: Iterator[CheckResult],
-        prefix: str = "",
-    ) -> list[CheckResult]:
-        """The wanted cells of one k, drawn from the generator ``cells``.  If
-        it raises, that k gets a single failed n = -1 cell instead."""
-        try:
-            return [c for c in cells if c.space == "-" or c.space in self.spaces]
-        except Exception as exc:  # a crash in one k must stay one failed cell
-            return [_crashed(suite, space, k, -1, exc, prefix)]
-
 
 # -- recursions -------------------------------------------------------
 
 
-def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
+def suite_recursions(scope: Scope) -> Iterator[Cell]:
     """Pyramidal rows k <= 8, i <= 12; the Stirling link for n <= 8; rank
     stabilization for k <= 6, j <= 8, n <= 12.  ``max_k`` replaces both
     k bounds and ``max_n`` both the i and the n bound."""
     pyramidal_ks = scope.ks(8, lowest=-1)
     max_n = scope.n(12)
-    table = combinatorics.PyramidalTable.build(max(0, *pyramidal_ks), max_n)
+    rows = combinatorics.pyramidal_rows(max(0, *pyramidal_ks), max_n)
 
     def pyramidal_cell(k: int, i: int) -> tuple[bool, str]:
         rec = combinatorics.pyramidal(k, i)
-        tab = table.value(k, i)
-        values = {"recursion": rec, "running-sum table": tab}
+        values = {"recursion": rec, "running-sum table": rows[k + 1][i]}
         if k >= 0:
             values["closed form"] = combinatorics.pyramidal_closed_form(k, i)
         if len(set(values.values())) == 1:
@@ -152,7 +152,7 @@ def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
 
     for k in pyramidal_ks:
         for i in range(max_n + 1):
-            yield _check("recursions", "-", k, i, lambda k=k, i=i: pyramidal_cell(k, i))
+            yield _cell("-", k, i, pyramidal_cell, k, i)
 
     def stirling_cell(n: int) -> tuple[bool, str]:
         product = poincare.poincare_ordered(1, n - 1)
@@ -166,7 +166,7 @@ def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
         return True, ""
 
     for n in range(1, 9):
-        yield _check("recursions", "-", 1, n, lambda n=n: stirling_cell(n))
+        yield _cell("-", 1, n, stirling_cell, n)
 
     def stable_cell(k: int, j: int, n: int) -> tuple[bool, str]:
         rank = poincare.betti_unordered(k, n).ranks[j]
@@ -177,15 +177,10 @@ def suite_recursions(scope: Scope) -> Iterator[CheckResult]:
             return True, ""
         return False, f"rank H^{j} = {rank}, expected {expected}"
 
-    if "unordered" not in scope.spaces:
-        return
     for k in scope.ks(6):
         for j in range(8 + 1):
             for n in range(j, max_n + 1):
-                yield _check(
-                    "recursions", "unordered", k, n,
-                    lambda k=k, j=j, n=n: stable_cell(k, j, n),
-                )
+                yield _cell("unordered", k, n, stable_cell, k, j, n)
 
 
 # -- series -----------------------------------------------------------
@@ -219,7 +214,7 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def suite_series(scope: Scope) -> Iterator[CheckResult]:
+def suite_series(scope: Scope) -> Iterator[Cell]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
     replaces both the order and the shape bound."""
     order, shape_max_n = scope.n(12), scope.n(10)
@@ -236,7 +231,7 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
             chain_k, chain = chain_k + 1, poincare.napolitano_step(chain)
         return chain
 
-    def cells(k: int) -> Iterator[CheckResult]:
+    def cells(k: int) -> Iterator[Cell]:
         q_series = poincare.unordered_series(k, order)
         stepped = chain_at(k)
         raw = virtual.getzler_series_raw(k, order)
@@ -250,7 +245,7 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
             return False, f"closed form {a}, series {b}, iterated step {c}"
 
         for n in range(order + 1):
-            yield _check("series", "unordered", k, n, lambda k=k, n=n: three_way(k, n))
+            yield _cell("unordered", k, n, three_way, k, n)
 
         def forms_agree(n: int) -> tuple[bool, str]:
             if raw[n] == simplified[n]:
@@ -258,20 +253,15 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
             return False, f"raw form {raw[n]} != simplified form {simplified[n]}"
 
         for n in range(order + 1):
-            yield _check("series", "unordered", k, n, lambda n=n: forms_agree(n))
+            yield _cell("unordered", k, n, forms_agree, n)
 
         for n in range(shape_max_n + 1):
-            yield _check(
-                "series", "ordered", k, n,
-                lambda k=k, n=n: _virtual_shape(virtual.virtual_ordered(k, n).poly, n),
+            yield _cell(
+                "ordered", k, n,
+                lambda: _virtual_shape(virtual.virtual_ordered(k, n).poly, n),
             )
-            yield _check(
-                "series", "unordered", k, n,
-                lambda n=n: _virtual_shape(simplified[n], n),
-            )
-            yield _check(
-                "series", "ordered", k, n, lambda k=k, n=n: _ordered_shape(k, n)
-            )
+            yield _cell("unordered", k, n, lambda: _virtual_shape(simplified[n], n))
+            yield _cell("ordered", k, n, _ordered_shape, k, n)
 
         pyramidal_gf = (TruncSeries(order, [ONE, -1]) ** (k + 1)).inverse()
 
@@ -283,7 +273,7 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
             return False, f"1/(1-y)^{k + 1} coefficient {got} != {expected}"
 
         for i in range(order + 1):
-            yield _check("series", "-", k, i, lambda i=i: pyramidal_coeff(i))
+            yield _cell("-", k, i, pyramidal_coeff, i)
 
         stable_gf = TruncSeries(order, [ONE, ONE]) * (
             TruncSeries(order, [ONE, -1]) ** k
@@ -297,20 +287,20 @@ def suite_series(scope: Scope) -> Iterator[CheckResult]:
             return False, f"(1+y)/(1-y)^{k} coefficient {got} != {expected}"
 
         for j in range(min(order, 8) + 1):
-            yield _check("series", "unordered", k, j, lambda j=j: stable_coeff(j))
+            yield _cell("unordered", k, j, stable_coeff, j)
 
     for k in scope.ks(6):
-        yield from scope.per_k("series", "-", k, cells(k))
+        yield from _per_k("-", k, cells(k))
 
 
 # -- duality ----------------------------------------------------------
 
 
-def suite_duality(scope: Scope) -> Iterator[CheckResult]:
+def suite_duality(scope: Scope) -> Iterator[Cell]:
     """k <= 6, n <= 12."""
     max_n = scope.n(12)
 
-    def cells(k: int, space: str) -> Iterator[CheckResult]:
+    def cells(k: int, space: str) -> Iterator[Cell]:
         report = duality.check_duality(k, max_n, space)
         for n, ok in enumerate(report.matches):
             detail = ""
@@ -319,11 +309,11 @@ def suite_duality(scope: Scope) -> Iterator[CheckResult]:
                 if report.first_mismatch and report.first_mismatch[0] == n:
                     _, lhs, rhs = report.first_mismatch
                     detail = f"transformed standard {lhs} != virtual {rhs}"
-            yield CheckResult("duality", space, k, n, ok, detail)
+            yield space, k, n, ok, detail
 
     for space in scope.spaces:
         for k in scope.ks(6):
-            yield from scope.per_k("duality", space, k, cells(k, space))
+            yield from _per_k(space, k, cells(k, space))
 
 
 # -- pointcount -------------------------------------------------------
@@ -332,16 +322,14 @@ def suite_duality(scope: Scope) -> Iterator[CheckResult]:
 POINTCOUNT_MAX_N = 5
 
 
-def suite_pointcount(scope: Scope) -> Iterator[CheckResult]:
+def suite_pointcount(scope: Scope) -> Iterator[Cell]:
     """k <= 3 (and k < q), n <= 5."""
     max_n = scope.n(POINTCOUNT_MAX_N)
 
-    def cells(q: int, k: int) -> Iterator[CheckResult]:
+    def cells(q: int, k: int) -> Iterator[Cell]:
         for r in ffield.oracle_check(q, k, max_n):
-            yield CheckResult(
-                "pointcount", r.space, r.k, r.n, r.agree,
-                f"q={q}: enumerated {r.oracle_count}, formula {r.formula_value}",
-            )
+            detail = f"q={q}: enumerated {r.oracle_count}, formula {r.formula_value}"
+            yield r.space, r.k, r.n, r.agree, detail
 
     def methods_agree(q: int, n: int) -> tuple[bool, str]:
         bad = ffield.squarefree_disagreements(q, n)
@@ -352,29 +340,25 @@ def suite_pointcount(scope: Scope) -> Iterator[CheckResult]:
     for q in scope.primes:
         for k in scope.ks(3):
             if k < q:
-                yield from scope.per_k("pointcount", "-", k, cells(q, k), f"q={q}: ")
+                yield from _per_k("-", k, cells(q, k), f"q={q}: ")
         for n in range(max_n + 1):
-            yield _check(
-                "pointcount", "-", 0, n, lambda q=q, n=n: methods_agree(q, n)
-            )
+            yield _cell("-", 0, n, methods_agree, q, n)
 
 
 # -- euler ------------------------------------------------------------
 
 
-def suite_euler(scope: Scope) -> Iterator[CheckResult]:
+def suite_euler(scope: Scope) -> Iterator[Cell]:
     """k <= 6, n <= 10."""
     max_n = scope.n(10)
 
-    def cells(k: int, space: str) -> Iterator[CheckResult]:
+    def cells(k: int, space: str) -> Iterator[Cell]:
         for n, ok in enumerate(duality.euler_consistency(k, max_n, space)):
-            yield CheckResult(
-                "euler", space, k, n, ok, "" if ok else "standard(-1) != virtual(1)"
-            )
+            yield space, k, n, ok, "" if ok else "standard(-1) != virtual(1)"
 
     for space in scope.spaces:
         for k in scope.ks(6):
-            yield from scope.per_k("euler", space, k, cells(k, space))
+            yield from _per_k(space, k, cells(k, space))
 
 
 # -- runner -----------------------------------------------------------
@@ -401,7 +385,11 @@ def run_suites(
     for name in ran:
         # looked up when it runs, so a replaced suite (a test's patch, a
         # tracer's wrapper) is the one that runs
-        results.extend(globals()[f"suite_{name}"](scope))
+        results.extend(
+            CheckResult(name, space, k, n, passed, detail)
+            for space, k, n, passed, detail in globals()[f"suite_{name}"](scope)
+            if space == "-" or space in scope.spaces
+        )
     duration = time.perf_counter() - start
 
     failed = [r for r in results if not r.passed]

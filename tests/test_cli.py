@@ -276,6 +276,35 @@ class TestVerifyCommand:
         assert "formula" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["table", "pyramidal", "--max-k", "33"], "argument --max-k: must be in [-1, 32]"),
+        (["table", "pyramidal", "--max-k", "1.5"], "argument --max-k: invalid int value: '1.5'"),
+        (["table", "pyramidal", "--max-i", "-1"], "argument --max-i: must be in [0, 64]"),
+        (["table", "betti", "-k", "33", "--max-n", "2"], "argument -k: must be in [0, 32]"),
+        (["table", "betti", "-k", "2", "--max-n", "65"], "argument --max-n: must be in [0, 64]"),
+        (["series", "--family", "virtual-ordered", "-k", "-1", "--order", "2"],
+         "argument -k: must be in [0, 32]"),
+        (["series", "--family", "virtual-ordered", "-k", "2", "--order", "65"],
+         "argument --order: must be in [0, 64]"),
+        (["verify", "-k", "33"], "argument -k: must be in [0, 32]"),
+        (["verify", "--max-k", "-1"], "argument --max-k: must be in [0, 32]"),
+        (["verify", "--max-n", "65"], "argument --max-n: must be in [0, 64]"),
+        (["verify", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    ],
+)
+def test_limit_error_names_its_flag(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = " ".join(argv[:2] if argv[0] == "table" else argv[:1])
+    assert captured.err.startswith(f"usage: confpoly {command} ")
+    assert captured.err.splitlines()[-1] == f"confpoly {command}: error: {error}"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

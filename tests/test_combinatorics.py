@@ -4,9 +4,9 @@ import pytest
 
 from confpoly.combinatorics import (
     KOutOfRangeError,
-    PyramidalTable,
     pyramidal,
     pyramidal_closed_form,
+    pyramidal_rows,
     stirling_first_unsigned,
 )
 from confpoly.ring import LaurentPoly, TruncSeries
@@ -28,11 +28,7 @@ class TestPyramidal:
         assert pyramidal(3, 4) == 35
 
     def test_reference_table(self):
-        table = PyramidalTable.build(3, 4)
-        assert table.rows == REFERENCE_TABLE
-        for k in range(-1, 4):
-            for i in range(5):
-                assert table.value(k, i) == REFERENCE_TABLE[k + 1][i]
+        assert pyramidal_rows(3, 4) == REFERENCE_TABLE
 
     def test_negative_i_extension(self):
         for k in range(-1, 5):
@@ -45,13 +41,15 @@ class TestPyramidal:
         with pytest.raises(KOutOfRangeError):
             pyramidal_closed_form(-1, 0)
         with pytest.raises(KOutOfRangeError):
-            PyramidalTable.build(-2, 3)
+            pyramidal_rows(-2, 3)
+        with pytest.raises(ValueError, match="max_i"):
+            pyramidal_rows(3, -1)
 
     def test_all_routes_agree(self):
-        table = PyramidalTable.build(8, 12)
+        rows = pyramidal_rows(8, 12)
         for k in range(-1, 9):
             for i in range(13):
-                assert pyramidal(k, i) == table.value(k, i)
+                assert pyramidal(k, i) == rows[k + 1][i]
                 if k >= 0:
                     assert pyramidal(k, i) == pyramidal_closed_form(k, i)
 

@@ -1,6 +1,8 @@
 """Verification-suite machinery: green runs, named failures, summaries."""
 
+import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import confpoly.verify as verify
 import confpoly.virtual as virtual
 from confpoly import cli
 from confpoly.ring import X, LaurentPoly, TruncSeries
-from confpoly.verify import SUITES, Scope, run_suites
+from confpoly.verify import SUITES, CheckResult, Scope, run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +69,43 @@ class TestRunSuites:
         summary, _ = run_suites(["all"], Scope(max_k=1, max_n=3, primes=(2,)))
         assert summary.suites == SUITES
         assert summary.ok
+
+    def test_default_cell_set(self):
+        summary, results = run_suites(["all"])
+        assert summary.ok
+        assert summary.passed == len(results) == 1788
+        assert collections.Counter((r.suite, r.space) for r in results) == {
+            ("recursions", "-"): 138,
+            ("recursions", "unordered"): 567,
+            ("series", "-"): 91,
+            ("series", "ordered"): 154,
+            ("series", "unordered"): 322,
+            ("duality", "ordered"): 91,
+            ("duality", "unordered"): 91,
+            ("pointcount", "-"): 24,
+            ("pointcount", "ordered"): 78,
+            ("pointcount", "unordered"): 78,
+            ("euler", "ordered"): 77,
+            ("euler", "unordered"): 77,
+        }
+
+    def test_runner_labels_cells_and_keeps_the_scope_spaces(self, monkeypatch):
+        # suites yield bare cells; run_suites alone names their suite and
+        # drops the cells of a space the scope leaves out
+        cells = [
+            ("unordered", 0, 0, True, ""),
+            ("ordered", 0, 0, True, ""),
+            ("-", 1, 2, False, "bad"),
+            ("unordered", 1, 1, False, "dropped"),
+            ("ordered", 2, 1, True, "kept"),
+        ]
+        monkeypatch.setattr(verify, "suite_euler", lambda scope: iter(cells))
+        summary, results = run_suites(["euler"], Scope(spaces=("ordered",)))
+        assert results == [
+            CheckResult("euler", *cell) for cell in cells if cell[0] != "unordered"
+        ]
+        assert (summary.passed, summary.failed) == (2, 1)
+        assert summary.first_failure == CheckResult("euler", "-", 1, 2, False, "bad")
 
 
 class TestScope:
@@ -223,13 +262,26 @@ class TestFailureNaming:
         with monkeypatch.context() as m:
             m.setattr(combinatorics, "pyramidal", off_by_one)
             summary, _ = run_suites(["recursions"])
-        # the real recursion calls itself through the patched name, so what
-        # it memoized meanwhile may be off by one: forget it
-        real.cache_clear()
         assert not summary.ok
         first = summary.first_failure
         assert (first.suite, first.space, first.k, first.n) == ("recursions", "-", 2, 3)
         assert "disagree" in first.detail
+
+    def test_patched_pyramidal_leaves_the_memo_true(self, monkeypatch):
+        # the memoized recursion must not call itself through the public
+        # name, or values built from a patched neighbour outlive the patch
+        real = combinatorics.pyramidal
+        real.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(
+                combinatorics, "pyramidal",
+                lambda k, i: real(k, i) + 1 if (k, i) == (2, 3) else real(k, i),
+            )
+            run_suites(["recursions"])
+        wrong = [
+            (k, i) for k in range(9) for i in range(13) if real(k, i) != math.comb(i + k, i)
+        ]
+        assert wrong == []
 
     def test_summary_counts(self, monkeypatch):
         real = poincare.betti_unordered
