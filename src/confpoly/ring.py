@@ -200,6 +200,11 @@ def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+def _nonzero(coeffs: tuple[LaurentPoly, ...]) -> list[tuple[int, LaurentPoly]]:
+    """(j, c) for every nonzero coefficient c of y^j, in order of j."""
+    return [(j, c) for j, c in enumerate(coeffs) if c]
+
+
 def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
     """Homogenized substitution x -> -1/x^2 at weight n: x^{2n} * p(-x^{-2}).
 
@@ -293,11 +298,15 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        # y^m pairs a[i] with b[m - i]; zip stops at b[0]
-        a, b = self._coeffs, other._coeffs
-        return TruncSeries(
-            self._order, [_dot(zip(a, b[m::-1])) for m in range(self._order + 1)]
-        )
+        # y^m sums a[i] * b[j] over i + j = m; only nonzero pairs are made
+        pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in self._coeffs]
+        b = _nonzero(other._coeffs)
+        for i, p in _nonzero(self._coeffs):
+            for j, q in b:
+                if i + j > self._order:
+                    break
+                pairs[i + j].append((p, q))
+        return TruncSeries(self._order, [_dot(ps) for ps in pairs])
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -330,9 +339,12 @@ class TruncSeries:
                 f"y^0 coefficient {a0} has non-unit coefficient {c}"
             )
         b0 = LaurentPoly({-e: c})
-        a, out = self._coeffs, [b0]
+        # b_m = -b0 * (a_1 b_(m-1) + ... + a_m b_0) over the nonzero a_i alone
+        # (a_0, a unit, is the first), so a polynomial of degree d costs at
+        # most d products per coefficient
+        a, out = _nonzero(self._coeffs)[1:], [b0]
         for m in range(1, self._order + 1):
-            out.append(-(b0 * _dot(zip(a[1 : m + 1], reversed(out)))))
+            out.append(-(b0 * _dot((p, out[m - i]) for i, p in a if i <= m)))
         return TruncSeries(self._order, out)
 
     def __eq__(self, other: object) -> bool:

@@ -3,7 +3,8 @@
 Every suite walks a documented default range and yields bare cells
 ``(space, k, n, passed, detail)``; :func:`run_suites` alone labels them
 with their suite and keeps those of the run's spaces, so a single wrong
-coefficient anywhere surfaces as a named first failure.  Checks never
+coefficient anywhere surfaces as a named first failure.  A suite may skip
+building the cells of a space the run leaves out.  Checks never
 raise: an exception inside a cell becomes a failed cell, and one while
 a suite builds the cells of a k becomes one failed n = -1 cell for that
 k.  Default ranges match the acceptance targets and keep the whole run
@@ -16,7 +17,11 @@ Suites:
     series      closed-form Betti rows vs generating function vs the
                 iterated one-puncture step; raw vs simplified virtual
                 series; polynomial shape invariants; generating-function
-                identities for pyramidal and stable ranks
+                identities for pyramidal and stable ranks.  The virtual,
+                pyramidal and stable series are carried across k, each
+                by its own one-puncture step; the public virtual routes are built
+                only at k = 0 and at the last k, and checked there
+                against the carried series
     duality     transformed standard polynomial == virtual polynomial
     pointcount  finite-field enumerations vs specialized virtual
                 polynomials, plus agreement of the two squarefree tests
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import combinatorics, duality, ffield, poincare, virtual
@@ -177,6 +183,8 @@ def suite_recursions(scope: Scope) -> Iterator[Cell]:
             return True, ""
         return False, f"rank H^{j} = {rank}, expected {expected}"
 
+    if "unordered" not in scope.spaces:
+        return  # run_suites would drop every stabilization cell
     for k in scope.ks(6):
         for j in range(8 + 1):
             for n in range(j, max_n + 1):
@@ -214,28 +222,96 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
+# One-puncture steps: each carries one series of suite_series from k to
+# k + 1 punctures by running sums and differences, with no series inverted.
+# The raw and simplified virtual forms each have their own step, so no code
+# builds both.
+
+
+def simplified_step(s: TruncSeries) -> TruncSeries:
+    """virtual_unordered_series from k to k + 1: multiply by 1/(1 + y), the
+    running alternating sum c'_0 = c_0, c'_n = c_n - c'_(n-1)."""
+    out: list[LaurentPoly] = []
+    for c in s.coeffs:
+        out.append(c + -out[-1] if out else c)
+    return TruncSeries(s.order, out)
+
+
+def raw_step(s: TruncSeries) -> TruncSeries:
+    """getzler_series_raw from k to k + 1: multiply by (1 - y), that is
+    d_n = c_n - c_(n-1), then by 1/(1 - y^2), that is c'_n = d_n + c'_(n-2)."""
+    c = s.coeffs
+    out: list[LaurentPoly] = []
+    for n in range(len(c)):
+        d = c[n] + -c[n - 1] if n else c[n]
+        out.append(d + out[n - 2] if n >= 2 else d)
+    return TruncSeries(s.order, out)
+
+
+def pyramidal_step(s: TruncSeries) -> TruncSeries:
+    """1/(1 - y)^(k+1) to 1/(1 - y)^(k+2): the running sum of its coefficients."""
+    return TruncSeries(s.order, accumulate(s.coeffs))
+
+
+def stable_step(s: TruncSeries) -> TruncSeries:
+    """(1 + y)/(1 - y)^k to (1 + y)/(1 - y)^(k+1): the running sum of its
+    coefficients."""
+    return TruncSeries(s.order, accumulate(s.coeffs))
+
+
+def _carried(
+    base: Callable[[], TruncSeries], step: Callable[[TruncSeries], TruncSeries]
+) -> Callable[[int], TruncSeries]:
+    """The series at k punctures, made by ``base()`` at k = 0 and carried up
+    from one asked-for k to the next by ``step`` alone, one call per k.  So
+    a wrong step at some k shows at that k first and at every k after it."""
+    have, series = 0, None
+
+    def at(k: int) -> TruncSeries:
+        nonlocal have, series
+        if series is None:
+            series = base()
+        while have < k:
+            have, series = have + 1, step(series)
+        return series
+
+    return at
+
+
 def suite_series(scope: Scope) -> Iterator[Cell]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
-    replaces both the order and the shape bound."""
-    order, shape_max_n = scope.n(12), scope.n(10)
-    # the one-puncture chain, at chain_k punctures: built from k = 0 by
-    # napolitano_step alone and carried from one k to the next, so a wrong
-    # step at some k shows at that k first and at every k after it
-    chain_k, chain = 0, None
+    replaces both the order and the shape bound.
 
-    def chain_at(k: int) -> TruncSeries:
-        nonlocal chain_k, chain
-        if chain is None:
-            chain = poincare.unordered_series(0, order)
-        while chain_k < k:
-            chain_k, chain = chain_k + 1, poincare.napolitano_step(chain)
-        return chain
+    ``unordered_series(k)`` is built for every k and checked against the
+    Napolitano chain.  The raw and simplified virtual series and the
+    pyramidal and stable generating functions are carried from k = 0, each
+    by its own step.  At the last k, the public raw and simplified routes
+    are compared with each other and then with the carried series."""
+    order, shape_max_n = scope.n(12), scope.n(10)
+    ks = scope.ks(6)
+    chain_at = _carried(lambda: poincare.unordered_series(0, order), poincare.napolitano_step)
+    raw_at = _carried(lambda: virtual.getzler_series_raw(0, order), raw_step)
+    simplified_at = _carried(
+        lambda: virtual.virtual_unordered_series(0, order), simplified_step
+    )
+    pyramidal_at = _carried(lambda: TruncSeries(order, [ONE, -1]).inverse(), pyramidal_step)
+    stable_at = _carried(lambda: TruncSeries(order, [ONE, ONE]), stable_step)
 
     def cells(k: int) -> Iterator[Cell]:
         q_series = poincare.unordered_series(k, order)
         stepped = chain_at(k)
-        raw = virtual.getzler_series_raw(k, order)
-        simplified = virtual.virtual_unordered_series(k, order)
+        raw, simplified = raw_at(k), simplified_at(k)
+        # the forms compared, in order; past k = 0 the public routes are
+        # rebuilt at the last k alone, and checked against the carried forms
+        forms = [(("raw form", raw), ("simplified form", simplified))]
+        if k == ks[-1] and k > 0:
+            public_raw = ("raw form", virtual.getzler_series_raw(k, order))
+            public_simplified = ("simplified form", virtual.virtual_unordered_series(k, order))
+            forms = [
+                (public_raw, public_simplified),
+                (public_raw, ("carried raw form", raw)),
+                (public_simplified, ("carried simplified form", simplified)),
+            ]
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
             a = poincare.betti_unordered(k, n).poly()
@@ -248,9 +324,10 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             yield _cell("unordered", k, n, three_way, k, n)
 
         def forms_agree(n: int) -> tuple[bool, str]:
-            if raw[n] == simplified[n]:
-                return True, ""
-            return False, f"raw form {raw[n]} != simplified form {simplified[n]}"
+            for (name_a, a), (name_b, b) in forms:
+                if a[n] != b[n]:
+                    return False, f"{name_a} {a[n]} != {name_b} {b[n]}"
+            return True, ""
 
         for n in range(order + 1):
             yield _cell("unordered", k, n, forms_agree, n)
@@ -263,7 +340,7 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             yield _cell("unordered", k, n, lambda: _virtual_shape(simplified[n], n))
             yield _cell("ordered", k, n, _ordered_shape, k, n)
 
-        pyramidal_gf = (TruncSeries(order, [ONE, -1]) ** (k + 1)).inverse()
+        pyramidal_gf = pyramidal_at(k)
 
         def pyramidal_coeff(i: int) -> tuple[bool, str]:
             got = pyramidal_gf[i]
@@ -275,9 +352,7 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         for i in range(order + 1):
             yield _cell("-", k, i, pyramidal_coeff, i)
 
-        stable_gf = TruncSeries(order, [ONE, ONE]) * (
-            TruncSeries(order, [ONE, -1]) ** k
-        ).inverse()
+        stable_gf = stable_at(k)
 
         def stable_coeff(j: int) -> tuple[bool, str]:
             got = stable_gf[j]
@@ -289,7 +364,7 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         for j in range(min(order, 8) + 1):
             yield _cell("unordered", k, j, stable_coeff, j)
 
-    for k in scope.ks(6):
+    for k in ks:
         yield from _per_k("-", k, cells(k))
 
 

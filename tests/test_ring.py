@@ -56,6 +56,25 @@ invertible_series = st.tuples(unit_heads, st.lists(polys, max_size=4)).map(
 )
 
 
+# polynomials in y of degree <= 5 with zero gaps, truncated at an order
+# that cuts some products short: the inputs whose zeros the product skips
+gappy = st.dictionaries(st.integers(min_value=0, max_value=5), polys, max_size=3)
+
+
+@st.composite
+def sparse_series_pairs(draw):
+    order = draw(st.integers(min_value=0, max_value=9))
+    a, b = draw(gappy), draw(gappy)
+    return tuple(TruncSeries(order, [c.get(j, ZERO) for j in range(6)]) for c in (a, b))
+
+
+@st.composite
+def sparse_invertible_series(draw):
+    order = draw(st.integers(min_value=0, max_value=12))
+    head, tail = draw(unit_heads), draw(gappy)
+    return TruncSeries(order, [head, *(tail.get(j, ZERO) for j in range(1, 6))])
+
+
 class TestStoredForm:
     @given(term_maps, st.sets(st.integers(min_value=-8, max_value=8), max_size=4), polys)
     def test_insertion_order_and_zeros_do_not_show(self, terms, zero_exps, other):
@@ -176,8 +195,9 @@ class TestSeriesMul:
         with pytest.raises(OrderMismatchError):
             TruncSeries(2, [1]) + TruncSeries(3, [1])
 
-    @given(series, series)
-    def test_matches_product_by_hand(self, a, b):
+    @given(st.tuples(series, series) | sparse_series_pairs())
+    def test_matches_product_by_hand(self, pair):
+        a, b = pair
         got = a * b
         assert [
             {e: c.coefficient(e) for e in c.support()} for c in got.coeffs
@@ -233,7 +253,7 @@ class TestSeriesInv:
         s = TruncSeries(3, [LaurentPoly({2: -1}), X])
         assert s * s.inverse() == TruncSeries(3, [1])
 
-    @given(invertible_series)
+    @given(invertible_series | sparse_invertible_series())
     def test_two_sided_inverse(self, s):
         one = TruncSeries(s.order, [1])
         inv = s.inverse()

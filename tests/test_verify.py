@@ -394,6 +394,119 @@ class TestNapolitanoChain:
         assert failed_ks == {3, 4, 5, 6}
 
 
+class TestCarriedSeries:
+    """verify series carries four more series from k = 0, each by its own step."""
+
+    STEPS = ("raw_step", "simplified_step", "pyramidal_step", "stable_step")
+
+    def test_steps_match_per_k_builds(self):
+        order = 32
+        minus_y = TruncSeries(order, [1, -1])
+        builds = {
+            "raw_step": lambda k: virtual.getzler_series_raw(k, order),
+            "simplified_step": lambda k: virtual.virtual_unordered_series(k, order),
+            "pyramidal_step": lambda k: (minus_y ** (k + 1)).inverse(),
+            "stable_step": lambda k: TruncSeries(order, [1, 1]) * (minus_y**k).inverse(),
+        }
+        for name, build in builds.items():
+            step, carried = getattr(verify, name), build(0)
+            for k in range(1, 17):
+                carried = step(carried)
+                assert carried == build(k), (name, k)
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name, wrong_call=None):
+        # the arguments of every call; call number wrong_call adds 1 to the
+        # y^2 coefficient of its output
+        calls = []
+        real = getattr(module, name)
+
+        def recorded(*args):
+            out = real(*args)
+            calls.append(args)
+            if len(calls) == wrong_call:
+                coeffs = list(out.coeffs)
+                coeffs[2] = coeffs[2] + 1
+                out = TruncSeries(out.order, coeffs)
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, last_k",
+        [
+            (["--max-k", "0"], 0),
+            (["--max-k", "1"], 1),
+            (["--max-k", "5"], 5),
+            (["--max-k", "16"], 16),
+            (["-k", "7"], 7),
+        ],
+        ids=["max-k-0", "max-k-1", "max-k-5", "max-k-16", "k-7"],
+    )
+    def test_public_routes_at_first_and_last_k(self, monkeypatch, capsys, argv, last_k):
+        public = [
+            self._count_calls(monkeypatch, virtual, name)
+            for name in ("getzler_series_raw", "virtual_unordered_series")
+        ]
+        steps = [self._count_calls(monkeypatch, verify, name) for name in self.STEPS]
+        assert cli.main(["verify", "series", *argv, "--max-n", "6"]) == 0
+        capsys.readouterr()
+        for calls in public:
+            assert calls == [(k, 6) for k in sorted({0, last_k})]
+        for calls in steps:
+            assert len(calls) == last_k
+
+    @pytest.mark.parametrize("name", STEPS)
+    @pytest.mark.parametrize("j", [1, 3, 6])
+    def test_wrong_step_names_its_k_first(self, monkeypatch, capsys, name, j):
+        self._count_calls(monkeypatch, verify, name, wrong_call=j)
+        assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        first = next(line for line in out.splitlines() if line.startswith("first failure:"))
+        assert f" k={j} " in first
+        failed_ks = {
+            int(line.split(" k=")[1].split()[0])
+            for line in out.splitlines()
+            if line.startswith("FAIL ")
+        }
+        assert failed_ks == set(range(j, 7))
+
+    @pytest.mark.parametrize(
+        "name, detail",
+        [
+            ("raw_step", "raw form x^4-7x^2+21 != carried raw form x^4-7x^2+22"),
+            ("simplified_step",
+             "simplified form x^4-7x^2+21 != carried simplified form x^4-7x^2+22"),
+        ],
+        ids=["raw", "simplified"],
+    )
+    def test_last_k_names_the_carried_form(self, monkeypatch, name, detail):
+        # the public routes agree with each other, so the carried form is named
+        self._count_calls(monkeypatch, verify, name, wrong_call=6)
+        summary, _ = run_suites(["series"], Scope(max_k=6, max_n=6))
+        f = summary.first_failure
+        assert (f.space, f.k, f.n, f.detail) == ("unordered", 6, 2, detail)
+
+
+def test_recursions_build_no_unordered_cell_under_ordered(monkeypatch, capsys):
+    # the stabilization cells are unordered ones: under --space ordered the
+    # suite does not build them, and stdout is the full run's minus them
+    argv = ["verify", "recursions", "--max-n", "12"]
+    assert cli.main(argv) == 0
+    kept = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("PASS ") and "space=unordered" not in line
+    ]
+    calls = []
+    monkeypatch.setattr(poincare, "betti_unordered", lambda *args: calls.append(args))
+    assert cli.main([*argv, "--space", "ordered"]) == 0
+    assert calls == []
+    assert capsys.readouterr().out.splitlines() == [
+        *kept, f"summary: suites=recursions passed={len(kept)} failed=0", "result: PASS"
+    ]
+
+
 def test_traced_run_sees_every_suite():
     # perfbench's tracer replaces each verify.suite_<name>; the runner must
     # look the suites up when it runs, or the wrappers never see a check
