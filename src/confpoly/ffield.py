@@ -16,6 +16,10 @@ puncture sets {0..k-1} are nested, so it is enough to record per monic
 polynomial its smallest root (and its gcd squarefree verdict) and per
 n-tuple of distinct elements its smallest entry.  These per-(q, n) tables
 are kept as bytes in a process-wide cache; ``clear_caches`` empties it.
+The smallest roots of all q^n polynomials come at once, from their values
+at each element, which one Horner step per degree builds as bytes.  The
+gcd verdict is Euclid's algorithm per polynomial, on coefficient lists,
+with one long-division kernel ``_divide`` that ``FieldPoly`` wraps too.
 
 The gcd squarefree test is cross-checked by a second, independent one: a
 sieve that marks every product g^2*h (g monic of degree >= 1), which is
@@ -37,8 +41,8 @@ from typing import Iterable, Iterator, Optional
 
 from . import virtual
 
-# q^n per enumeration, and summed over a pointcount run: about a minute at
-# the ~50 us a degree-7 polynomial costs, nearly all of it the gcd test
+# q^n per enumeration, and summed over a pointcount run: about 20 s, at the
+# ~13 us a degree-7 polynomial over F_7 costs, nearly all of it the gcd test
 # (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
 
@@ -92,6 +96,56 @@ class PrimeField:
         return range(self.q)
 
 
+# The polynomial kernels work on coefficient lists mod q, lowest degree
+# first, with no zero leading coefficient; FieldPoly wraps them.
+
+
+@cache
+def _inverses(q: int) -> tuple[int, ...]:
+    """Entry c is the inverse of c mod q (entry 0, which has none, is 0)."""
+    return (0,) + tuple(pow(c, -1, q) for c in range(1, q))
+
+
+def _stripped(cs: list[int]) -> list[int]:
+    """``cs`` with its zero leading coefficients popped, in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _divide(a, b, q: int, quot: Optional[list[int]] = None) -> list[int]:
+    """The remainder of ``a`` by ``b`` in long division; the quotient's
+    coefficients go into ``quot`` when it is a list of zeros.  Coefficients
+    are reduced once per remainder, not once per term."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    dv = len(b) - 1
+    rem = list(a)
+    inv_lead = _inverses(q)[b[-1]]
+    low = b[:-1]
+    for shift in range(len(rem) - 1 - dv, -1, -1):
+        factor = (rem[shift + dv] * inv_lead) % q
+        if factor:
+            if quot is not None:
+                quot[shift] = factor
+            for j, c in enumerate(low, shift):
+                rem[j] -= factor * c
+    return _stripped([c % q for c in rem[:dv]])
+
+
+def _derivative(a, q: int) -> list[int]:
+    """The formal derivative."""
+    return _stripped([(i * c) % q for i, c in enumerate(a)][1:])
+
+
+def _gcd(a, b, q: int) -> list[int]:
+    """A greatest common divisor by Euclid's algorithm, not made monic; it
+    stops at a nonzero constant remainder, which divides everything."""
+    while len(b) > 1:
+        a, b = b, _divide(a, b, q)
+    return list(b or a)
+
+
 class FieldPoly:
     """Dense polynomial over a prime field, coefficients lowest degree first.
 
@@ -102,10 +156,7 @@ class FieldPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, fld: PrimeField, coeffs):
-        q = fld.q
-        cs = [c % q for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _stripped([c % fld.q for c in coeffs])
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -113,11 +164,9 @@ class FieldPoly:
     def _reduced(cls, fld: PrimeField, cs: list[int]) -> "FieldPoly":
         """A polynomial from a list already reduced mod q, which it strips of
         leading zeros in place instead of reducing again."""
-        while cs and cs[-1] == 0:
-            cs.pop()
         p = object.__new__(cls)
         object.__setattr__(p, "field", fld)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        object.__setattr__(p, "coeffs", tuple(_stripped(cs)))
         return p
 
     def degree(self) -> int:
@@ -156,40 +205,17 @@ class FieldPoly:
                     out[i + j] = (out[i + j] + a * b) % q
         return FieldPoly._reduced(self.field, out)
 
-    def _divide(self, other: "FieldPoly", quot: Optional[list[int]]) -> list[int]:
-        """The reduced remainder of long division by ``other``; the quotient's
-        coefficients go into ``quot`` when it is a list of zeros."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = self.field.q
-        rem = list(self.coeffs)
-        dv = other.degree()
-        if len(rem) <= dv:
-            return rem
-        inv_lead = pow(other.coeffs[-1], -1, q)
-        for shift in range(len(rem) - 1 - dv, -1, -1):
-            factor = (rem[shift + dv] * inv_lead) % q
-            if factor:
-                if quot is not None:
-                    quot[shift] = factor
-                for j, b in enumerate(other.coeffs):
-                    rem[shift + j] = (rem[shift + j] - factor * b) % q
-        del rem[dv:]
-        return rem
-
     def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         quot = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = self._divide(other, quot)
+        rem = _divide(self.coeffs, other.coeffs, self.field.q, quot)
         return FieldPoly._reduced(self.field, quot), FieldPoly._reduced(self.field, rem)
 
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
-        return FieldPoly._reduced(self.field, self._divide(other, None))
+        rem = _divide(self.coeffs, other.coeffs, self.field.q)
+        return FieldPoly._reduced(self.field, rem)
 
     def derivative(self) -> "FieldPoly":
-        q = self.field.q
-        return FieldPoly._reduced(
-            self.field, [(i * c) % q for i, c in enumerate(self.coeffs)][1:]
-        )
+        return FieldPoly._reduced(self.field, _derivative(self.coeffs, self.field.q))
 
     def evaluate(self, a: int) -> int:
         q = self.field.q
@@ -201,16 +227,14 @@ class FieldPoly:
     def monic(self) -> "FieldPoly":
         if self.is_zero():
             return self
-        inv = pow(self.coeffs[-1], -1, self.field.q)
-        return FieldPoly._reduced(
-            self.field, [(c * inv) % self.field.q for c in self.coeffs]
-        )
+        q = self.field.q
+        inv = _inverses(q)[self.coeffs[-1]]
+        return FieldPoly._reduced(self.field, [(c * inv) % q for c in self.coeffs])
 
     def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return FieldPoly._reduced(
+            self.field, _gcd(self.coeffs, other.coeffs, self.field.q)
+        ).monic()
 
     def __repr__(self) -> str:
         return f"FieldPoly(q={self.field.q}, coeffs={self.coeffs})"
@@ -222,14 +246,15 @@ def monic_polys(fld: PrimeField, degree: int) -> Iterator[FieldPoly]:
     if degree < 0:
         return
     for lower in itertools.product(fld.elements(), repeat=degree):
-        yield FieldPoly(fld, lower + (1,))
+        yield FieldPoly._reduced(fld, [*lower, 1])
 
 
 def is_squarefree(f: FieldPoly) -> bool:
     """Squarefree test: gcd with the formal derivative is a nonzero constant."""
     if f.is_zero():
         return False
-    return f.gcd(f.derivative()).degree() == 0
+    q = f.field.q
+    return len(_gcd(f.coeffs, _derivative(f.coeffs, q), q)) == 1
 
 
 def _index(f: FieldPoly) -> int:
@@ -277,6 +302,29 @@ def _square_sieve(q: int, n: int) -> bytes:
 _SQUAREFREE = 0x80
 
 
+def _smallest_roots(q: int, n: int) -> bytes:
+    """Byte i is the smallest root in 0..q-1 of the i-th monic degree-n
+    polynomial, q if it has none.
+
+    The i-th polynomial is c + x*g, with g the (i mod q^(n-1))-th monic
+    polynomial of degree n-1, so its values at a follow from those of
+    degree n-1 by one Horner step: for each c, one ``bytes.translate`` of
+    the previous level by v -> (c + a*v) mod q."""
+    roots = bytearray([q]) * q**n
+    for a in reversed(range(q)):
+        steps = [
+            bytes((c + a * v) % q for v in range(q)).ljust(256, b"\0") for c in range(q)
+        ]
+        values = b"\1"  # the one monic polynomial of degree 0 is 1 at a
+        for _ in range(n):
+            values = b"".join(values.translate(step) for step in steps)
+        i = values.find(0)
+        while i >= 0:
+            roots[i] = a
+            i = values.find(0, i + 1)
+    return bytes(roots)
+
+
 @cache
 def _polynomial_table(q: int, n: int) -> bytes:
     """Byte i describes the i-th monic degree-n polynomial f: its smallest
@@ -284,11 +332,10 @@ def _polynomial_table(q: int, n: int) -> bytes:
     :func:`is_squarefree` accepts f.  The punctures {0..k-1} are nested,
     so f avoids them exactly when its byte, less the flag, is at least k."""
     fld = PrimeField(q)
-    table = bytearray()
-    for f in monic_polys(fld, n):
-        root = next((a for a in fld.elements() if f.evaluate(a) == 0), q)
-        table.append(root | _SQUAREFREE if is_squarefree(f) else root)
-    return bytes(table)
+    return bytes(
+        root | _SQUAREFREE if is_squarefree(f) else root
+        for root, f in zip(_smallest_roots(q, n), monic_polys(fld, n))
+    )
 
 
 @cache

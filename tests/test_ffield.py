@@ -1,5 +1,6 @@
 """Finite-field brute-force oracle: enumeration counts and polynomial helpers."""
 
+import hashlib
 import inspect
 
 import pytest
@@ -17,6 +18,7 @@ from confpoly.ffield import (
     count_ordered_configs,
     count_squarefree_coprime,
     is_squarefree,
+    monic_polys,
     oracle_check,
     squarefree_disagreements,
 )
@@ -53,6 +55,36 @@ ORDERED = {
     (7, 1): (1, 6, 30, 120, 360, 720),
     (7, 2): (1, 5, 20, 60, 120, 120),
     (7, 3): (1, 4, 12, 24, 24, 0),
+}
+
+# SHA-256 of _polynomial_table(q, n) at the default primes, as the
+# FieldPoly-object gcd test and per-polynomial root search built them
+# before both moved to the list kernels
+POLYNOMIAL_TABLE_SHA256 = {
+    (2, 0): "a5ab782c805e8bfbe34cb65742a0471cf5a53a97f0a1160ab6cccbb64c9131ce",
+    (2, 1): "5dd1693933cc234394d793f125ab2a0bde44f490c262fe266ad35ee09e2a4016",
+    (2, 2): "a6f2190acef11c734ef59f815acc4d253673e86b2487b76f82a4780e53982e95",
+    (2, 3): "6d569428037d82ff8bc0c637ff1cbb09b5d177c0b1b22eae66f96cd88e4a5528",
+    (2, 4): "bd1a448e6b2d58628a1c4589a2adf8beaf81cfdb21ba330b24136b5f1dbbd57a",
+    (2, 5): "1720e5c3176704df73a5ea4ff190bfd920f422f999a9c0b00264b0f09c40ab8d",
+    (3, 0): "5ee0dd4d4840229fab4a86438efbcaf1b9571af94f5ace5acc94de19e98ea9ab",
+    (3, 1): "328d1f840c8de61fc7d500129aca145c52c6dcc9577a8258560edacd5df99b55",
+    (3, 2): "380f6bec99010e7874365af700c4cdad1a9ba6fe570984604974b5bba48f6269",
+    (3, 3): "39cce0b398d57566479034118cb2f1efebcc3cd60ca6469f60bce18a30c43a23",
+    (3, 4): "2d843a9c7660dcf36e74f1777d01afd675178225d111fc97a205efd6f91ab814",
+    (3, 5): "37ffd200ae7489069ed113c8f5e68a806beb66f5757242a62f05b70f1d1b389b",
+    (5, 0): "c00e7f889cfc9216ec818bf2e1682fc6af0d89939c91776669478caf27c9727c",
+    (5, 1): "f99c8f0f7ea3045f442d6fb952008b10545b2961cd6c5c7457b105cfb7976ba5",
+    (5, 2): "d35429b60500b18613f9448daf3e9510cd989c584ef8101f5918bb5e210310e4",
+    (5, 3): "f6c17cc12e0ac0099c1b205420dd9d46d6c63bb334ee7b9fe79457cea0057e10",
+    (5, 4): "4c5c1b5c9a7ee5ed3b352f658bd79bb72c65c9bdef1b682f70ae52b8eaa10168",
+    (5, 5): "d0b4357f48a643613ec7165be4f0f4303e4f4f2fc6c29f76c6c9d8c105bcce60",
+    (7, 0): "4bfa260a661d68110a7a0a45264d2d43af9727de925cc2e09fb687b3651efe9d",
+    (7, 1): "afcaaae0f2cb8b5a0011b351d816e838d65db7c03e2e40c9c9a166ad92100415",
+    (7, 2): "d53ea86309cff873d7b49299f0a7efb0a678f9865e865841478fb5df67336e69",
+    (7, 3): "aa680e3178a789dad0b3722588a83335c8a5b46a7ecaf5e07b68839ab1111d0e",
+    (7, 4): "aad0aea3a52f9c4d19ffa16992eae2a8df821f90327f5935d9b87609bca147af",
+    (7, 5): "1a404a0627b338bb12e2789c16bb6c3018c28ba98e623461d3037c8b383a1ec1",
 }
 
 
@@ -162,6 +194,42 @@ class TestSquarefree:
         assert cube.derivative().is_zero()
         assert not is_squarefree(cube)
 
+    def test_derivative_not_monic(self):
+        # over F_7 the derivative of a monic quintic has leading coefficient 5
+        f7 = PrimeField(7)
+        t = FieldPoly(f7, (0, 1))
+        linear = [t + FieldPoly(f7, (c,)) for c in range(5)]
+        distinct = linear[0] * linear[1] * linear[2] * linear[3] * linear[4]
+        repeated = linear[1] * linear[1] * (t * t * t + FieldPoly(f7, (2,)))
+        for f in (distinct, repeated):
+            assert f.degree() == 5 and f.derivative().coeffs[-1] == 5
+        assert is_squarefree(distinct)
+        assert not is_squarefree(repeated)
+
+    def test_vanishing_derivative(self):
+        # x^q + c = (x + c)^q over F_q, while x^q - x has derivative -1
+        for q in (2, 3, 5, 7):
+            fld = PrimeField(q)
+            for c in range(q):
+                f = FieldPoly(fld, (c,) + (0,) * (q - 1) + (1,))
+                assert f.derivative().is_zero()
+                assert not is_squarefree(f)
+            assert is_squarefree(FieldPoly(fld, (0, -1) + (0,) * (q - 2) + (1,)))
+
+    def test_constants(self):
+        f7 = PrimeField(7)
+        assert is_squarefree(FieldPoly(f7, (1,)))
+        assert is_squarefree(FieldPoly(f7, (3,)))
+        assert not is_squarefree(FieldPoly(f7, ()))
+
+    def test_large_field(self):
+        f97 = PrimeField(97)
+        t = FieldPoly(f97, (0, 1))
+        a, b, c = (t + FieldPoly(f97, (r,)) for r in (1, 2, 50))
+        assert is_squarefree(a * b * c)
+        assert not is_squarefree(a * a * c)
+        assert not is_squarefree(a * b * b * c)
+
     def test_disagreement_scan_empty(self):
         for q in (2, 3, 5):
             for n in range(5):
@@ -181,14 +249,31 @@ class TestSquarefree:
         assert squarefree_disagreements(3, 2) == []
 
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
-        monkeypatch.setattr(ffield, "is_squarefree", _raise)
-        for name in ("gcd", "derivative", "__divmod__", "__mod__", "_divide"):
+        for name in ("is_squarefree", "_gcd", "_divide", "_derivative", "_inverses"):
+            monkeypatch.setattr(ffield, name, _raise)
+        for name in ("gcd", "monic", "derivative", "__divmod__", "__mod__"):
             monkeypatch.setattr(FieldPoly, name, _raise)
         for q in (2, 3, 5, 7):
             for n in range(6):
                 sieve = ffield._square_sieve(q, n)
                 # q^n - q^(n-1) monic polynomials of degree n >= 2 are squarefree
                 assert sieve.count(0) == (q**n - q ** (n - 1) if n >= 2 else q**n)
+
+
+class TestTables:
+    @pytest.mark.parametrize("q, max_n", [(2, 4), (3, 4), (5, 4), (7, 5), (11, 4)])
+    def test_smallest_roots_match_evaluation(self, q, max_n):
+        fld = PrimeField(q)
+        for n in range(max_n + 1):
+            expected = bytes(
+                next((a for a in fld.elements() if f.evaluate(a) == 0), q)
+                for f in monic_polys(fld, n)
+            )
+            assert ffield._smallest_roots(q, n) == expected
+
+    def test_pinned_polynomial_tables(self):
+        for (q, n), digest in POLYNOMIAL_TABLE_SHA256.items():
+            assert hashlib.sha256(ffield._polynomial_table(q, n)).hexdigest() == digest
 
 
 class TestCounts:
