@@ -58,13 +58,15 @@ def unordered_series(k: int, order: int) -> TruncSeries:
     """(1 + x*y^2) / ((1 - y)(1 - x*y)^k) truncated at y^order.
 
     The y^n coefficient is the Poincare polynomial of the unordered
-    n-point configuration space.
+    n-point configuration space.  The denominator is applied as a product
+    of inverted factors, 1/(1 - y) times 1/(1 - x*y)^k: each factor has
+    one-term coefficients, so no dense series is ever inverted.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     numerator = TruncSeries(order, [ONE, 0, X])
-    denominator = TruncSeries(order, [ONE, -1]) * TruncSeries(order, [ONE, -X]) ** k
-    return numerator * denominator.inverse()
+    geometric = TruncSeries(order, [ONE, -1]).inverse()
+    return numerator * (geometric * (TruncSeries(order, [ONE, -X]) ** k).inverse())
 
 
 def napolitano_step(q: TruncSeries) -> TruncSeries:

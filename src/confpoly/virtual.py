@@ -78,27 +78,33 @@ def virtual_ordered(k: int, n: int) -> VirtualPoly:
 
 
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:
-    """(1 - y^2*x^2) / ((1 - y*x^2)(1 + y)^k) truncated at y^order."""
+    """(1 - y^2*x^2) / ((1 - y*x^2)(1 + y)^k) truncated at y^order.
+
+    The denominator is applied as a product of inverted factors,
+    1/(1 - y*x^2) times 1/(1 + y)^k, each with one-term coefficients.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     numerator = TruncSeries(order, [ONE, 0, -_X2])
-    denominator = TruncSeries(order, [ONE, -_X2]) * TruncSeries(order, [ONE, 1]) ** k
-    return numerator * denominator.inverse()
+    point = TruncSeries(order, [ONE, -_X2]).inverse()
+    return numerator * (point * (TruncSeries(order, [ONE, 1]) ** k).inverse())
 
 
 def getzler_series_raw(k: int, order: int) -> TruncSeries:
     """The unsimplified form (1 - y^2*x^2)(1 - y)^k / ((1 - y*x^2)(1 - y^2)^k).
 
-    Must agree with :func:`virtual_unordered_series` coefficient by
-    coefficient; the equality is exercised by the verification suites.
+    The denominator is applied as a product of inverted factors: the
+    integer series (1 - y)^k / (1 - y^2)^k first, then 1/(1 - y*x^2), then
+    the numerator.  Must agree with :func:`virtual_unordered_series`
+    coefficient by coefficient; the equality is exercised by the
+    verification suites.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    numerator = TruncSeries(order, [ONE, 0, -_X2]) * TruncSeries(order, [ONE, -1]) ** k
-    denominator = (
-        TruncSeries(order, [ONE, -_X2]) * TruncSeries(order, [ONE, 0, -1]) ** k
-    )
-    return numerator * denominator.inverse()
+    punctures = TruncSeries(order, [ONE, -1]) ** k
+    punctures = punctures * (TruncSeries(order, [ONE, 0, -1]) ** k).inverse()
+    point = TruncSeries(order, [ONE, -_X2]).inverse()
+    return TruncSeries(order, [ONE, 0, -_X2]) * (punctures * point)
 
 
 def virtual_unordered(k: int, n: int) -> VirtualPoly:

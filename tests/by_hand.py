@@ -3,10 +3,13 @@
 The ordered products are multiplied out one factor at a time, and both
 running-product stores are checked against them. The series product is
 a plain convolution over exponent dicts, against which ``TruncSeries``
-multiplication is checked.
+multiplication is checked. ``assert_inverts_factors`` counts what a
+generating-series route costs, so a test can bound it without timing
+anything.
 """
 
-from confpoly.ring import ONE, LaurentPoly
+import confpoly.ring as ring
+from confpoly.ring import ONE, LaurentPoly, TruncSeries
 
 # every k with n both small and large, so a shuffle walks n up and down
 ORDERED_CALLS = [(k, n) for k in range(4) for n in (0, 1, 2, 5, 9, 14)]
@@ -41,3 +44,29 @@ def series_product_by_hand(a, b):
                     terms[e1 + e2] = terms.get(e1 + e2, 0) + c
         out.append({e: c for e, c in terms.items() if c})
     return out
+
+
+def assert_inverts_factors(monkeypatch, route, k=32, order=64):
+    """``route(k, order)`` makes at most 15 000 term products (a dense
+    denominator inverted whole costs about 88 000 at the defaults) and
+    inverts only series whose coefficients have at most one term."""
+    dot, inverse = ring._dot, TruncSeries.inverse
+    products, inverted = [0], []
+
+    def counting_dot(pairs):
+        pairs = list(pairs)
+        products[0] += sum(len(a.support()) * len(b.support()) for a, b in pairs)
+        return dot(pairs)
+
+    def recording_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ring, "_dot", counting_dot)
+        m.setattr(TruncSeries, "inverse", recording_inverse)
+        route(k, order)
+    assert products[0] <= 15_000, f"{route.__name__}: {products[0]} term products"
+    assert inverted, f"{route.__name__} inverts no series"
+    for s in inverted:
+        assert all(len(c.support()) <= 1 for c in s.coeffs), f"inverted {s}"

@@ -21,7 +21,12 @@ from confpoly.poincare import (
 from confpoly.ring import ONE, X, LaurentPoly, TruncSeries
 from confpoly.virtual import virtual_ordered
 
-from by_hand import ORDERED_CALLS, falling_by_hand, ordered_by_hand
+from by_hand import (
+    ORDERED_CALLS,
+    assert_inverts_factors,
+    falling_by_hand,
+    ordered_by_hand,
+)
 
 
 class TestBettiUnordered:
@@ -64,6 +69,16 @@ class TestUnorderedSeries:
 
     def test_zero_points_is_a_point(self):
         assert unordered_series(5, 0) == TruncSeries(0, [1])
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 12, 64])
+    def test_equals_one_inverse_form(self, order):
+        numerator = TruncSeries(order, [ONE, 0, X])
+        for k in range(33):
+            denominator = TruncSeries(order, [ONE, -1]) * TruncSeries(order, [ONE, -X]) ** k
+            assert unordered_series(k, order) == numerator * denominator.inverse(), k
+
+    def test_inverts_factors_not_products(self, monkeypatch):
+        assert_inverts_factors(monkeypatch, unordered_series)
 
 
 class TestNapolitanoStep:

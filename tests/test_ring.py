@@ -260,6 +260,12 @@ class TestSeriesInv:
         assert s * inv == one
         assert inv * s == one
 
+    # the generating-series routes invert their denominators factor by factor
+    @given(invertible_series, invertible_series, st.integers(min_value=0, max_value=5))
+    def test_inverse_of_products_and_powers(self, a, b, k):
+        assert (a * b).inverse() == a.inverse() * b.inverse()
+        assert (a**k).inverse() == a.inverse() ** k
+
 
 class TestRendering:
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import confpoly.duality as duality
 import confpoly.virtual as virtual
-from confpoly.ring import ONE, LaurentPoly
+from confpoly.ring import ONE, LaurentPoly, TruncSeries
 from confpoly.virtual import (
     VirtualPoly,
     getzler_series_raw,
@@ -17,7 +17,9 @@ from confpoly.virtual import (
     virtual_unordered_series,
 )
 
-from by_hand import ORDERED_CALLS, falling_by_hand
+from by_hand import ORDERED_CALLS, assert_inverts_factors, falling_by_hand
+
+X2 = LaurentPoly({2: 1})
 
 
 class TestVirtualOrdered:
@@ -74,6 +76,29 @@ class TestGetzlerRaw:
 
     def test_one_point(self):
         assert getzler_series_raw(1, 1)[1] == LaurentPoly({2: 1, 0: -1})
+
+
+class TestOneInverseForms:
+    """Each route equals its docstring's formula with the denominator
+    multiplied out and inverted whole."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 12, 64])
+    def test_simplified(self, order):
+        numerator = TruncSeries(order, [ONE, 0, -X2])
+        for k in range(33):
+            denominator = TruncSeries(order, [ONE, -X2]) * TruncSeries(order, [ONE, 1]) ** k
+            assert virtual_unordered_series(k, order) == numerator * denominator.inverse(), k
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 12, 64])
+    def test_raw(self, order):
+        for k in range(33):
+            numerator = TruncSeries(order, [ONE, 0, -X2]) * TruncSeries(order, [ONE, -1]) ** k
+            denominator = TruncSeries(order, [ONE, -X2]) * TruncSeries(order, [ONE, 0, -1]) ** k
+            assert getzler_series_raw(k, order) == numerator * denominator.inverse(), k
+
+    @pytest.mark.parametrize("route", [virtual_unordered_series, getzler_series_raw])
+    def test_inverts_factors_not_products(self, monkeypatch, route):
+        assert_inverts_factors(monkeypatch, route)
 
 
 class TestVirtualUnordered:
