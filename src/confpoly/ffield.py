@@ -18,8 +18,12 @@ n-tuple of distinct elements its smallest entry.  These per-(q, n) tables
 are kept as bytes in a process-wide cache; ``clear_caches`` empties it.
 The smallest roots of all q^n polynomials come at once, from their values
 at each element, which one Horner step per degree builds as bytes.  The
-gcd verdict is Euclid's algorithm per polynomial, on coefficient lists,
-with one long-division kernel ``_divide`` that ``FieldPoly`` wraps too.
+gcd verdicts come q at a time: the polynomials c + h that differ only in
+the constant term c share the derivative h' and, when h' is not constant,
+the first remainder h mod h' of Euclid's algorithm, so each group costs
+one derivative and one division, and each polynomial only the steps after
+the first.  All of it runs on coefficient lists, with one long-division
+kernel ``_divide`` that ``is_squarefree`` and ``FieldPoly`` use too.
 
 The gcd squarefree test is cross-checked by a second, independent one: a
 sieve that marks every product g^2*h (g monic of degree >= 1), which is
@@ -35,15 +39,16 @@ is its independence.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from . import virtual
 
-# q^n per enumeration, and summed over a pointcount run: about 20 s, at the
-# ~13 us a degree-7 polynomial over F_7 costs, nearly all of it the gcd test
-# (Python 3.11, 2-core x86-64)
+# q^n per enumeration, and summed over a pointcount run: about 20 s of work,
+# at the ~12 us a degree-7 polynomial over F_7 costs in its table, nearly all
+# of it the grouped gcd verdicts (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
 
 FIELD_SIZE_LIMIT = 100
@@ -128,8 +133,10 @@ def _divide(a, b, q: int, quot: Optional[list[int]] = None) -> list[int]:
         if factor:
             if quot is not None:
                 quot[shift] = factor
-            for j, c in enumerate(low, shift):
+            j = shift  # a counter, not enumerate: this loop is the oracle's hot spot
+            for c in low:
                 rem[j] -= factor * c
+                j += 1
     return _stripped([c % q for c in rem[:dv]])
 
 
@@ -325,17 +332,49 @@ def _smallest_roots(q: int, n: int) -> bytes:
     return bytes(roots)
 
 
+def _squarefree_group(h: list[int], q: int) -> bytes:
+    """Byte c is ``_SQUAREFREE`` if c + h passes the gcd test of
+    :func:`is_squarefree`, 0 if not, for c = 0..q-1 and h a monic
+    polynomial of degree >= 1 with zero constant term.
+
+    The q polynomials f = c + h share f' = h'.  When f' has degree >= 1
+    they share h mod f' too, and f mod f' = (h mod f') + c, so Euclid on f
+    and f' takes one derivative and one division for the whole group; each
+    verdict runs the remaining steps from f' and that shifted remainder.
+    With f' = 0 no f is squarefree, with f' a nonzero constant every f is,
+    and a shifted remainder of 0 means f' divides f."""
+    d = _derivative(h, q)
+    if len(d) < 2:
+        return bytes([_SQUAREFREE if d else 0]) * q
+    r0 = _divide(h, d, q) or [0]
+    verdicts = bytearray(q)
+    for c in range(q):
+        r = r0.copy()
+        r[0] = (r[0] + c) % q
+        # _gcd(d, []) is d itself, of degree >= 1
+        if len(_gcd(d, _stripped(r), q)) == 1:
+            verdicts[c] = _SQUAREFREE
+    return bytes(verdicts)
+
+
 @cache
 def _polynomial_table(q: int, n: int) -> bytes:
     """Byte i describes the i-th monic degree-n polynomial f: its smallest
     root in 0..q-1 (q if it has none), plus ``_SQUAREFREE`` if
     :func:`is_squarefree` accepts f.  The punctures {0..k-1} are nested,
-    so f avoids them exactly when its byte, less the flag, is at least k."""
-    fld = PrimeField(q)
-    return bytes(
-        root | _SQUAREFREE if is_squarefree(f) else root
-        for root, f in zip(_smallest_roots(q, n), monic_polys(fld, n))
-    )
+    so f avoids them exactly when its byte, less the flag, is at least k.
+
+    The verdicts come one group at a time from :func:`_squarefree_group`:
+    the q polynomials c + h that differ only in the constant term sit
+    q^(n-1) apart, at j, j + q^(n-1), ..., for h the j-th monic polynomial
+    of degree n with zero constant term."""
+    if n == 0:
+        flags = bytearray([_SQUAREFREE])  # the constant 1
+    else:
+        flags, stride = bytearray(q**n), q ** (n - 1)
+        for j, high in enumerate(itertools.product(range(q), repeat=n - 1)):
+            flags[j::stride] = _squarefree_group([0, *high, 1], q)
+    return bytes(map(operator.or_, _smallest_roots(q, n), flags))
 
 
 @cache
@@ -356,25 +395,29 @@ def clear_caches() -> None:
         table.cache_clear()
 
 
+# a table byte in the sieve's terms: 0 if its flag says squarefree, 1 if not
+_SQUAREFUL = bytes(0 if b & _SQUAREFREE else 1 for b in range(256))
+
+
 def squarefree_disagreements(q: int, n: int, limit: int = 1) -> list[FieldPoly]:
     """Monic degree-n polynomials on which the two squarefree tests differ.
 
     Compares the gcd verdicts of the (q, n) table with the square sieve
-    over the full enumeration and returns up to ``limit`` offenders in
-    enumeration order; an empty list means the tests agree everywhere.
+    over the full enumeration, as one bytes comparison, and returns up to
+    ``limit`` (at least 1) offenders in enumeration order; an empty list
+    means the tests agree everywhere.
     """
     fld = PrimeField(q)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
     _check_size(q, n)
-    table, sieve = _polynomial_table(q, n), _square_sieve(q, n)
-    bad = []
-    for i, (entry, squareful) in enumerate(zip(table, sieve)):
-        if bool(entry & _SQUAREFREE) == bool(squareful):
-            bad.append(_monic_at(fld, n, i))
-            if len(bad) >= limit:
-                break
-    return bad
+    verdicts, sieve = _polynomial_table(q, n).translate(_SQUAREFUL), _square_sieve(q, n)
+    if verdicts == sieve:
+        return []
+    offenders = (i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b)
+    return [_monic_at(fld, n, i) for i in itertools.islice(offenders, limit)]
 
 
 def _check_enumeration_args(q: int, k: int, n: int) -> None:

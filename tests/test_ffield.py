@@ -2,9 +2,11 @@
 
 import hashlib
 import inspect
+import itertools
 
 import pytest
 
+import confpoly.cli as cli
 import confpoly.combinatorics as combinatorics
 import confpoly.duality as duality
 import confpoly.ffield as ffield
@@ -248,8 +250,41 @@ class TestSquarefree:
         assert squarefree_disagreements(3, 3, limit=5) == [dropped]
         assert squarefree_disagreements(3, 2) == []
 
+    def test_disagreement_limit(self, monkeypatch, fresh_tables):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit"):
+                squarefree_disagreements(3, 3, limit=limit)
+        # the sieve marks nothing, so every non-squarefree cubic is an offender
+        monkeypatch.setattr(ffield, "_square_multiples", lambda fld, n: iter(()))
+        squareful = [f for f in monic_polys(PrimeField(3), 3) if not is_squarefree(f)]
+        assert squarefree_disagreements(3, 3, limit=2) == squareful[:2]
+        assert squarefree_disagreements(3, 3, limit=100) == squareful
+
+    def test_flipped_group_verdict_is_named(self, monkeypatch, capsys, fresh_tables):
+        # x^3 + x = x(x^2 + 1) over F_3 is squarefree; its group is c + x^3 + x
+        real = ffield._squarefree_group
+
+        def flipped(h, q):
+            verdicts = real(h, q)
+            if (q, h) == (3, [0, 1, 0, 1]):
+                return bytes([verdicts[0] ^ ffield._SQUAREFREE]) + verdicts[1:]
+            return verdicts
+
+        monkeypatch.setattr(ffield, "_squarefree_group", flipped)
+        assert cli.main(["verify", "pointcount"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL suite=pointcount space=- k=0 n=3 | q=3: squarefree tests disagree "
+            "at FieldPoly(q=3, coeffs=(0, 1, 0, 1))"
+        ) in out.splitlines()
+        monkeypatch.undo()
+        ffield.clear_caches()
+        assert squarefree_disagreements(3, 3) == []
+
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
-        for name in ("is_squarefree", "_gcd", "_divide", "_derivative", "_inverses"):
+        for name in (
+            "is_squarefree", "_squarefree_group", "_gcd", "_divide", "_derivative", "_inverses",
+        ):
             monkeypatch.setattr(ffield, name, _raise)
         for name in ("gcd", "monic", "derivative", "__divmod__", "__mod__"):
             monkeypatch.setattr(FieldPoly, name, _raise)
@@ -270,6 +305,44 @@ class TestTables:
                 for f in monic_polys(fld, n)
             )
             assert ffield._smallest_roots(q, n) == expected
+
+    @pytest.mark.parametrize(
+        "q, max_n", [(2, 10), (3, 7), (5, 5), (7, 5), (11, 4), (13, 3)]
+    )
+    def test_grouped_verdicts_match_is_squarefree(self, q, max_n):
+        fld = PrimeField(q)
+        for n in range(max_n + 1):
+            expected = bytes(
+                ffield._SQUAREFREE if is_squarefree(f) else 0 for f in monic_polys(fld, n)
+            )
+            table = ffield._polynomial_table(q, n)
+            assert bytes(b & ffield._SQUAREFREE for b in table) == expected
+
+    def test_degenerate_groups(self):
+        group, flag = ffield._squarefree_group, ffield._SQUAREFREE
+        # f' = 0: x^2 + c over F_2 and x^3 + c over F_3 are squares and cubes
+        assert group([0, 0, 1], 2) == bytes(2)
+        assert group([0, 0, 0, 1], 3) == bytes(3)
+        # f' a nonzero constant: every c + x, and c + x^2 + x over F_2
+        for q in (2, 3, 7):
+            assert group([0, 1], q) == bytes([flag]) * q
+        assert group([0, 1, 1], 2) == bytes([flag]) * 2
+
+    @pytest.mark.parametrize("q, n", [(3, 2), (5, 3), (7, 4)])
+    def test_derivative_dividing_f(self, q, n):
+        # f' | f exactly when f = c + h for c = -(h mod f'), a constant; then
+        # f is not squarefree.  x^n is one such f for every n < q.
+        hits = 0
+        for high in itertools.product(range(q), repeat=n - 1):
+            h = [0, *high, 1]
+            d = ffield._derivative(h, q)
+            r0 = ffield._divide(h, d, q)
+            if len(d) >= 2 and len(r0) <= 1:
+                c = -r0[0] % q if r0 else 0
+                assert ffield._squarefree_group(h, q)[c] == 0
+                hits += 1
+        assert hits > 0
+        assert ffield._squarefree_group([0] * n + [1], q)[0] == 0
 
     def test_pinned_polynomial_tables(self):
         for (q, n), digest in POLYNOMIAL_TABLE_SHA256.items():
