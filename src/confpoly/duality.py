@@ -23,17 +23,10 @@ from .ring import (
 )
 
 
-class DegreeTooHighError(ValueError):
-    """A y^n coefficient of degree > n cannot be dualized into a polynomial."""
-
-
 @dataclass(frozen=True)
 class DualityReport:
     """Per-n outcome of comparing transformed standard against virtual."""
 
-    k: int
-    max_n: int
-    space: str
     matches: tuple[bool, ...]
     first_mismatch: Optional[tuple[int, LaurentPoly, LaurentPoly]]
 
@@ -41,31 +34,10 @@ class DualityReport:
         return all(self.matches)
 
 
-def dualize_series(s: TruncSeries) -> TruncSeries:
-    """Apply the duality substitution to every coefficient of a series.
-
-    The y^n coefficient must be a polynomial of degree at most n with
-    nonnegative exponents (true for all standard Poincare series here);
-    otherwise the transform leaves polynomial range and
-    :class:`DegreeTooHighError` is raised.
-    """
-    out = []
-    for n, c in enumerate(s.coeffs):
-        if c:
-            if c.valuation() < 0:
-                raise DegreeTooHighError(
-                    f"y^{n} coefficient {c} has negative exponents"
-                )
-            if c.degree() > n:
-                raise DegreeTooHighError(
-                    f"y^{n} coefficient {c} has degree {c.degree()} > {n}"
-                )
-        out.append(substitute_duality(c, n))
-    return TruncSeries(s.order, out)
-
-
 def undualize_series(s: TruncSeries) -> TruncSeries:
-    """Invert :func:`dualize_series`, recovering the standard series."""
+    """Undo the duality substitution coefficient by coefficient: the y^n
+    coefficient of a virtual series pulls back at weight n, recovering the
+    standard series."""
     return TruncSeries(
         s.order,
         [substitute_duality_inverse(c, n) for n, c in enumerate(s.coeffs)],
@@ -121,7 +93,7 @@ def check_duality(k: int, max_n: int, space: str) -> DualityReport:
         matches.append(ok)
         if not ok and first_mismatch is None:
             first_mismatch = (n, lhs, rhs)
-    return DualityReport(k, max_n, space, tuple(matches), first_mismatch)
+    return DualityReport(tuple(matches), first_mismatch)
 
 
 def euler_consistency(k: int, max_n: int, space: str) -> tuple[bool, ...]:

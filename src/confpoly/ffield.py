@@ -92,13 +92,12 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        if type(self.q) is not int:
+            raise ValueError(f"q must be an int, got {self.q!r}")
         if not _is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
         if self.q > FIELD_SIZE_LIMIT:
             raise ValueError(f"q={self.q} exceeds the size policy ({FIELD_SIZE_LIMIT})")
-
-    def elements(self) -> range:
-        return range(self.q)
 
 
 # The polynomial kernels work on coefficient lists mod q, lowest degree
@@ -217,10 +216,6 @@ class FieldPoly:
         rem = _divide(self.coeffs, other.coeffs, self.field.q, quot)
         return FieldPoly._reduced(self.field, quot), FieldPoly._reduced(self.field, rem)
 
-    def __mod__(self, other: "FieldPoly") -> "FieldPoly":
-        rem = _divide(self.coeffs, other.coeffs, self.field.q)
-        return FieldPoly._reduced(self.field, rem)
-
     def derivative(self) -> "FieldPoly":
         return FieldPoly._reduced(self.field, _derivative(self.coeffs, self.field.q))
 
@@ -231,17 +226,11 @@ class FieldPoly:
             acc = (acc * a + c) % q
         return acc
 
-    def monic(self) -> "FieldPoly":
-        if self.is_zero():
-            return self
-        q = self.field.q
-        inv = _inverses(q)[self.coeffs[-1]]
-        return FieldPoly._reduced(self.field, [(c * inv) % q for c in self.coeffs])
-
     def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        return FieldPoly._reduced(
-            self.field, _gcd(self.coeffs, other.coeffs, self.field.q)
-        ).monic()
+        """The monic greatest common divisor; zero when both are zero."""
+        q = self.field.q
+        g = _gcd(self.coeffs, other.coeffs, q)
+        return FieldPoly._reduced(self.field, [c * _inverses(q)[g[-1]] % q for c in g])
 
     def __repr__(self) -> str:
         return f"FieldPoly(q={self.field.q}, coeffs={self.coeffs})"
@@ -252,7 +241,7 @@ def monic_polys(fld: PrimeField, degree: int) -> Iterator[FieldPoly]:
     low coefficients."""
     if degree < 0:
         return
-    for lower in itertools.product(fld.elements(), repeat=degree):
+    for lower in itertools.product(range(fld.q), repeat=degree):
         yield FieldPoly._reduced(fld, [*lower, 1])
 
 
@@ -399,25 +388,20 @@ def clear_caches() -> None:
 _SQUAREFUL = bytes(0 if b & _SQUAREFREE else 1 for b in range(256))
 
 
-def squarefree_disagreements(q: int, n: int, limit: int = 1) -> list[FieldPoly]:
-    """Monic degree-n polynomials on which the two squarefree tests differ.
-
-    Compares the gcd verdicts of the (q, n) table with the square sieve
-    over the full enumeration, as one bytes comparison, and returns up to
-    ``limit`` (at least 1) offenders in enumeration order; an empty list
-    means the tests agree everywhere.
-    """
+def squarefree_disagreements(q: int, n: int) -> list[FieldPoly]:
+    """The first monic degree-n polynomial, in enumeration order, on which
+    the two squarefree tests differ, as a one-element list; an empty list
+    means they agree everywhere.  Compares the gcd verdicts of the (q, n)
+    table with the square sieve as one bytes comparison."""
     fld = PrimeField(q)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if limit < 1:
-        raise ValueError(f"need limit >= 1, got {limit}")
     _check_size(q, n)
     verdicts, sieve = _polynomial_table(q, n).translate(_SQUAREFUL), _square_sieve(q, n)
     if verdicts == sieve:
         return []
-    offenders = (i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b)
-    return [_monic_at(fld, n, i) for i in itertools.islice(offenders, limit)]
+    first = next(i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b)
+    return [_monic_at(fld, n, first)]
 
 
 def _check_enumeration_args(q: int, k: int, n: int) -> None:

@@ -69,12 +69,6 @@ class LaurentPoly:
             raise ValueError("degree of the zero polynomial is undefined")
         return max(self._terms)
 
-    def valuation(self) -> int:
-        """Smallest exponent; the zero polynomial has no valuation."""
-        if not self._terms:
-            raise ValueError("valuation of the zero polynomial is undefined")
-        return min(self._terms)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
@@ -98,18 +92,6 @@ class LaurentPoly:
         return _dot(((self, other),))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general polynomial")
-        result = LaurentPoly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- evaluation -----------------------------------------------------
 

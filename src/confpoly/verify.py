@@ -112,14 +112,17 @@ class Scope:
     primes: tuple[int, ...] = DEFAULT_PRIMES
 
     def __post_init__(self):
-        if not self.primes or len(set(self.primes)) < len(self.primes):
+        # a repeat or a non-int shrinks the set
+        if not self.primes or len({q for q in self.primes if type(q) is int}) < len(self.primes):
             raise ValueError(f"primes must be one or more distinct primes: {self.primes}")
         for q in self.primes:
             ffield.PrimeField(q)  # raises for a non-prime or one past the size policy
         if self.only_k is not None and self.max_k is not None:
             raise ValueError("only_k and max_k exclude each other")
-        if any(b is not None and b < 0 for b in (self.max_k, self.max_n, self.only_k)):
-            raise ValueError(f"bounds must be nonnegative: {self}")
+        for name in ("max_k", "max_n", "only_k"):
+            b = getattr(self, name)
+            if b is not None and (type(b) is not int or b < 0):
+                raise ValueError(f"{name} must be a nonnegative int or None, got {b!r}")
         if not self.spaces or len(set(self.spaces) & set(virtual.SPACES)) < len(self.spaces):
             raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {self.spaces}")
 

@@ -163,8 +163,7 @@ class TestSubstituteDuality:
         if not p or p.degree() > n:
             return
         image = substitute_duality(p, n)
-        assert not image or image.valuation() >= 0
-        assert all(e % 2 == 0 for e in image.support())
+        assert all(e >= 0 and e % 2 == 0 for e in image.support())
 
 
 class TestSeriesMul:
@@ -235,7 +234,7 @@ class TestSeriesInv:
 
     def test_geometric_in_xy(self):
         got = TruncSeries(3, [ONE, -X]).inverse()
-        assert got == TruncSeries(3, [ONE, X, X**2, X**3])
+        assert got == TruncSeries(3, [ONE, X, X * X, X * X * X])
 
     def test_negative_binomial(self):
         got = (TruncSeries(3, [1, 1]) ** 2).inverse()
@@ -287,8 +286,6 @@ class TestRendering:
     def test_zero_degree_undefined(self):
         with pytest.raises(ValueError):
             ZERO.degree()
-        with pytest.raises(ValueError):
-            ZERO.valuation()
 
     def test_truncation_and_padding(self):
         s = TruncSeries(1, [1, 2, 3, 4])

@@ -125,11 +125,19 @@ class TestScope:
             ({"spaces": ()}, "spaces"),
             ({"spaces": ("diagonal",)}, "spaces"),
             ({"spaces": ("ordered", "ordered")}, "spaces"),
+            ({"primes": (2.0,)}, "primes"),
+            ({"primes": (2, 3.0)}, "primes"),
+            ({"max_k": 1.5}, "max_k"),
+            ({"only_k": 2.0}, "only_k"),
+            ({"max_n": 2.0}, "max_n"),
+            ({"max_n": True}, "max_n"),
+            ({"max_k": "2"}, "max_k"),
         ],
         ids=[
             "non-prime", "prime-past-policy", "repeated-prime", "no-prime",
             "only_k-and-max_k", "negative-max_k", "negative-max_n", "negative-only_k",
-            "no-space", "unknown-space", "repeated-space",
+            "no-space", "unknown-space", "repeated-space", "float-prime", "float-second-prime",
+            "float-max_k", "float-only_k", "float-max_n", "bool-max_n", "str-max_k",
         ],
     )
     def test_bad_scope_raises_before_any_suite(self, monkeypatch, fields, message):
