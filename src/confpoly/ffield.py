@@ -22,8 +22,12 @@ gcd verdicts come q at a time: the polynomials c + h that differ only in
 the constant term c share the derivative h' and, when h' is not constant,
 the first remainder h mod h' of Euclid's algorithm, so each group costs
 one derivative and one division, and each polynomial only the steps after
-the first.  All of it runs on coefficient lists, with one long-division
-kernel ``_divide`` that ``is_squarefree`` and ``FieldPoly`` use too.
+the first.  Squarefreeness is kept by the translations x -> x + a, so one
+group's verdicts decide its whole orbit of up to q groups: a Taylor shift
+``_shifted`` finds each translate, whose verdicts are the group's rotated
+by its constant term.  All of it runs on coefficient lists, with one
+long-division kernel ``_divide`` that ``is_squarefree`` and ``FieldPoly``
+use too.
 
 The gcd squarefree test is cross-checked by a second, independent one: a
 sieve that marks every product g^2*h (g monic of degree >= 1), which is
@@ -46,9 +50,10 @@ from typing import Iterable, Iterator, Optional
 
 from . import virtual
 
-# q^n per enumeration, and summed over a pointcount run: about 20 s of work,
-# at the ~12 us a degree-7 polynomial over F_7 costs in its table, nearly all
-# of it the grouped gcd verdicts (Python 3.11, 2-core x86-64)
+# q^n per enumeration, and summed over a pointcount run: about 6 s of work.
+# A degree-7 polynomial over F_7 costs ~4 us in its table, nearly all of it
+# the gcd verdicts (one group run per translation orbit), and ~2 us more in
+# the square sieve and the tuple count (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
 
 FIELD_SIZE_LIMIT = 100
@@ -142,6 +147,17 @@ def _divide(a, b, q: int, quot: Optional[list[int]] = None) -> list[int]:
 def _derivative(a, q: int) -> list[int]:
     """The formal derivative."""
     return _stripped([(i * c) % q for i, c in enumerate(a)][1:])
+
+
+def _shifted(a, t: int, q: int) -> list[int]:
+    """The Taylor shift a(x + t), by repeated synthetic division; the
+    leading coefficient is left as it is, so the degree is kept."""
+    out = list(a)
+    top = len(out) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            out[j] += t * out[j + 1]
+    return [c % q for c in out]
 
 
 def _gcd(a, b, q: int) -> list[int]:
@@ -353,16 +369,34 @@ def _polynomial_table(q: int, n: int) -> bytes:
     :func:`is_squarefree` accepts f.  The punctures {0..k-1} are nested,
     so f avoids them exactly when its byte, less the flag, is at least k.
 
-    The verdicts come one group at a time from :func:`_squarefree_group`:
-    the q polynomials c + h that differ only in the constant term sit
-    q^(n-1) apart, at j, j + q^(n-1), ..., for h the j-th monic polynomial
-    of degree n with zero constant term."""
+    The verdicts come one group at a time: the q polynomials c + h that
+    differ only in the constant term sit q^(n-1) apart, at j, j + q^(n-1),
+    ..., for h the j-th monic polynomial of degree n with zero constant
+    term.  Squarefreeness is kept by the translations x -> x + a, so one
+    :func:`_squarefree_group` run decides a whole orbit of groups: with
+    g = h(x + a) and s = g(0), the group of g - s has verdict c where the
+    representative has c - s.  Groups are taken in index order, and each
+    is written once, by the first representative that reaches it; a group
+    a translate of h maps to itself keeps the verdicts it got first."""
     if n == 0:
         flags = bytearray([_SQUAREFREE])  # the constant 1
     else:
-        flags, stride = bytearray(q**n), q ** (n - 1)
+        stride = q ** (n - 1)
+        flags, done = bytearray(q**n), bytearray(stride)
         for j, high in enumerate(itertools.product(range(q), repeat=n - 1)):
-            flags[j::stride] = _squarefree_group([0, *high, 1], q)
+            if done[j]:
+                continue
+            h = [0, *high, 1]
+            verdicts = _squarefree_group(h, q)
+            for a in range(q):
+                g = _shifted(h, a, q)
+                i = 0
+                for c in g[1:-1]:
+                    i = i * q + c
+                if not done[i]:
+                    s = g[0]  # entry c is verdicts[c - s]; s = 0 slices to verdicts
+                    flags[i::stride] = verdicts[-s:] + verdicts[:-s]
+                    done[i] = 1
     return bytes(map(operator.or_, _smallest_roots(q, n), flags))
 
 
@@ -393,19 +427,21 @@ def squarefree_disagreements(q: int, n: int) -> list[FieldPoly]:
     the two squarefree tests differ, as a one-element list; an empty list
     means they agree everywhere.  Compares the gcd verdicts of the (q, n)
     table with the square sieve as one bytes comparison."""
-    fld = PrimeField(q)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    _check_size(q, n)
+    _check_enumeration_args(q, 0, n)
     verdicts, sieve = _polynomial_table(q, n).translate(_SQUAREFUL), _square_sieve(q, n)
     if verdicts == sieve:
         return []
     first = next(i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b)
-    return [_monic_at(fld, n, first)]
+    return [_monic_at(PrimeField(q), n, first)]
 
 
 def _check_enumeration_args(q: int, k: int, n: int) -> None:
+    """Raise ValueError unless q is a field size, k an int in 0..q-1 and n an
+    int >= 0; TooLargeError if q^n is over the budget."""
     PrimeField(q)
+    for name, value in (("k", k), ("n", n)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
     if n < 0:

@@ -305,9 +305,34 @@ class TestSquarefree:
         ffield.clear_caches()
         assert squarefree_disagreements(3, 3) == []
 
+    def test_flipped_verdict_spreads_over_its_orbit(self, monkeypatch, capsys, fresh_tables):
+        # x^3 + x^2 heads an orbit of 5 groups over F_5, none fixed by a
+        # translate; the wrong verdict of f = x^3 + x^2 + 3 spreads to
+        # f(x + 1) = x^3 + 4x^2, which comes first in enumeration order
+        real = ffield._squarefree_group
+
+        def flipped(h, q):
+            verdicts = real(h, q)
+            if (q, h) == (5, [0, 0, 1, 1]):
+                return verdicts[:3] + bytes([verdicts[3] ^ ffield._SQUAREFREE]) + verdicts[4:]
+            return verdicts
+
+        monkeypatch.setattr(ffield, "_squarefree_group", flipped)
+        verdicts = ffield._polynomial_table(5, 3).translate(ffield._SQUAREFUL)
+        sieve = ffield._square_sieve(5, 3)
+        wrong = [i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b]
+        assert len({i % 25 for i in wrong}) == len(wrong) == 5
+        assert cli.main(["verify", "pointcount"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL suite=pointcount space=- k=0 n=3 | q=5: squarefree tests disagree "
+            "at FieldPoly(q=5, coeffs=(0, 0, 4, 1))"
+        ) in out.splitlines()
+
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
         for name in (
-            "is_squarefree", "_squarefree_group", "_gcd", "_divide", "_derivative", "_inverses",
+            "is_squarefree", "_squarefree_group", "_shifted", "_gcd", "_divide", "_derivative",
+            "_inverses",
         ):
             monkeypatch.setattr(ffield, name, _raise)
         for name in ("gcd", "derivative", "__divmod__"):
@@ -341,6 +366,34 @@ class TestTables:
             )
             table = ffield._polynomial_table(q, n)
             assert bytes(b & ffield._SQUAREFREE for b in table) == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_shifted_is_translation(self, q):
+        fld = PrimeField(q)
+        for n in range(5):
+            for h in monic_polys(fld, n):
+                for a in range(q):
+                    g = ffield._shifted(h.coeffs, a, q)
+                    assert len(g) == n + 1 and g[-1] == 1
+                    shifted = FieldPoly(fld, g)
+                    assert all(shifted.evaluate(x) == h.evaluate((x + a) % q) for x in range(q))
+
+    @pytest.mark.parametrize("q, n, runs", [(7, 5, 343), (5, 5, 129)])
+    def test_one_gcd_run_per_orbit(self, monkeypatch, fresh_tables, q, n, runs):
+        # x -> x + a moves the x^(n-1) coefficient by n*a, so for p not
+        # dividing n each orbit has q groups; for p | n some have fewer
+        calls = []
+        real = ffield._squarefree_group
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ffield, "_squarefree_group", counted)
+        assert hashlib.sha256(ffield._polynomial_table(q, n)).hexdigest() == (
+            POLYNOMIAL_TABLE_SHA256[q, n]
+        )
+        assert len(calls) == runs
 
     def test_degenerate_groups(self):
         group, flag = ffield._squarefree_group, ffield._SQUAREFREE
@@ -407,6 +460,8 @@ class TestCounts:
             count_ordered_configs(97, 0, 5)
         with pytest.raises(TooLargeError):
             count_squarefree_coprime(97, 0, 5)
+        with pytest.raises(TooLargeError):
+            squarefree_disagreements(97, 5)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -417,6 +472,29 @@ class TestCounts:
             count_squarefree_coprime(5, -1, 2)
         with pytest.raises(ValueError):
             count_squarefree_coprime(5, 0, -1)
+        with pytest.raises(ValueError):
+            squarefree_disagreements(3, -1)
+        with pytest.raises(ValueError):
+            squarefree_disagreements(4, 1)
+
+    @pytest.mark.parametrize(
+        "entry, args, message",
+        [
+            pytest.param(entry, args, message, id=f"{entry.__name__}{args}")
+            for entry, args, message in (
+                (count_ordered_configs, (3, 1.0, 2), "k must be an int, got 1.0"),
+                (count_squarefree_coprime, (3, True, 2), "k must be an int, got True"),
+                (count_squarefree_coprime, (3, 1, "2"), "n must be an int, got '2'"),
+                (oracle_check, (3, 1, 2.0), "n must be an int, got 2.0"),
+                (squarefree_disagreements, (2, 2.0), "n must be an int, got 2.0"),
+                (squarefree_disagreements, (2, False), "n must be an int, got False"),
+            )
+        ],
+    )
+    def test_non_int_rejected(self, entry, args, message):
+        with pytest.raises(ValueError) as info:
+            entry(*args)
+        assert str(info.value) == message
 
 
 class TestOracleCheck:
