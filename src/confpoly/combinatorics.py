@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import cache, lru_cache
+
+from .ring import _natural
 
 
 class KOutOfRangeError(ValueError):
@@ -75,15 +77,15 @@ def pyramidal_rows(max_k: int, max_i: int) -> tuple[tuple[int, ...], ...]:
     """
     if max_k < -1:
         raise KOutOfRangeError(f"table needs max_k >= -1, got {max_k}")
-    if max_i < 0:
-        raise ValueError(f"table needs max_i >= 0, got {max_i}")
+    _natural("max_i", max_i)
     rows = [tuple(1 if i == 0 else 0 for i in range(max_i + 1))]
     for _ in range(max_k + 1):
         rows.append(tuple(itertools.accumulate(rows[-1])))
     return tuple(rows)
 
 
-@cache
+# typed, so that 2.0 or True never hits the entry of 2 or 1 past the check
+@lru_cache(maxsize=None, typed=True)
 def stirling_first_unsigned(n: int, r: int) -> int:
     """Unsigned Stirling number of the first kind c(n, r).
 
@@ -91,8 +93,7 @@ def stirling_first_unsigned(n: int, r: int) -> int:
     c(m+1, j) = c(m, j-1) + m*c(m, j) with c(0, 0) = 1, one row at a time
     and keeping only the columns j <= r.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _natural("n", n)
     if r < 0 or r > n:
         return 0
     row = [1] + [0] * r  # c(0, 0..r)

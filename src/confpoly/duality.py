@@ -18,6 +18,7 @@ from . import poincare, virtual
 from .ring import (
     LaurentPoly,
     TruncSeries,
+    _natural,
     substitute_duality,
     substitute_duality_inverse,
 )
@@ -48,8 +49,7 @@ def _per_n(poly_of):
     """Lift a per-n route to a family entry: (k, max_n) -> polys for n = 0..max_n."""
 
     def family(k: int, max_n: int) -> tuple[LaurentPoly, ...]:
-        if max_n < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _natural("max_n", max_n)
         return tuple(poly_of(k, n) for n in range(max_n + 1))
 
     return family
@@ -63,18 +63,17 @@ def _per_n(poly_of):
 FAMILIES: dict[str, Callable[[int, int], tuple[LaurentPoly, ...]]] = {
     "standard-unordered": _per_n(lambda k, n: poincare.betti_unordered(k, n).poly()),
     "standard-ordered": _per_n(lambda k, n: poincare.poincare_ordered(k, n)),
-    "virtual-unordered": lambda k, n: virtual.virtual_unordered_series(k, n).coeffs,
-    "virtual-unordered-raw": lambda k, n: virtual.getzler_series_raw(k, n).coeffs,
+    "virtual-unordered": lambda k, order: virtual.virtual_unordered_series(k, order).coeffs,
+    "virtual-unordered-raw": lambda k, order: virtual.getzler_series_raw(k, order).coeffs,
     "virtual-ordered": _per_n(lambda k, n: virtual.virtual_ordered(k, n).poly),
 }
 
 
 def _standard_and_virtual(k: int, max_n: int, space: str):
     """The standard and the virtual polynomials of one space, n = 0..max_n."""
-    if k < 0 or max_n < 0:
-        raise ValueError("k and max_n must be nonnegative")
-    if space not in virtual.SPACES:
-        raise ValueError(f"space must be 'ordered' or 'unordered', got {space!r}")
+    _natural("k", k)
+    _natural("max_n", max_n)
+    virtual.check_space(space)
     return (
         FAMILIES[f"standard-{space}"](k, max_n),
         FAMILIES[f"virtual-{space}"](k, max_n),

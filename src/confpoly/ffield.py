@@ -49,6 +49,7 @@ from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from . import virtual
+from .ring import _natural
 
 # q^n per enumeration, and summed over a pointcount run: about 6 s of work.
 # A degree-7 polynomial over F_7 costs ~4 us in its table, nearly all of it
@@ -66,6 +67,7 @@ class TooLargeError(ValueError):
 def check_budget(primes: Iterable[int], max_n: int) -> None:
     """Raise TooLargeError if enumerating the q^n monic polynomials (and as
     many n-tuples) of each prime q and each n <= max_n passes the budget."""
+    _natural("max_n", max_n)
     size = sum(q**n for q in primes for n in range(max_n + 1))
     if size > ENUMERATION_BUDGET:
         raise TooLargeError(
@@ -97,8 +99,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        if type(self.q) is not int:
-            raise ValueError(f"q must be an int, got {self.q!r}")
+        _natural("q", self.q)
         if not _is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
         if self.q > FIELD_SIZE_LIMIT:
@@ -255,10 +256,9 @@ class FieldPoly:
 def monic_polys(fld: PrimeField, degree: int) -> Iterator[FieldPoly]:
     """All monic polynomials of the given degree, lexicographic in the
     low coefficients."""
-    if degree < 0:
-        return
-    for lower in itertools.product(range(fld.q), repeat=degree):
-        yield FieldPoly._reduced(fld, [*lower, 1])
+    _natural("degree", degree)
+    lows = itertools.product(range(fld.q), repeat=degree)
+    return (FieldPoly._reduced(fld, [*low, 1]) for low in lows)
 
 
 def is_squarefree(f: FieldPoly) -> bool:
@@ -435,17 +435,15 @@ def squarefree_disagreements(q: int, n: int) -> list[FieldPoly]:
     return [_monic_at(PrimeField(q), n, first)]
 
 
-def _check_enumeration_args(q: int, k: int, n: int) -> None:
-    """Raise ValueError unless q is a field size, k an int in 0..q-1 and n an
-    int >= 0; TooLargeError if q^n is over the budget."""
+def _check_enumeration_args(q: int, k: int, n: int, n_name: str = "n") -> None:
+    """Raise ValueError unless q is a field size, k and n (the caller's
+    ``n_name``) are nonnegative ints and k < q; TooLargeError if q^n is over
+    the budget."""
     PrimeField(q)
-    for name, value in (("k", k), ("n", n)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if not 0 <= k < q:
+    _natural("k", k)
+    _natural(n_name, n)
+    if k >= q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
     _check_size(q, n)
 
 
@@ -484,7 +482,7 @@ class OracleReport:
 def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:
     """Enumerate both spaces for every n <= max_n and compare with the
     virtual polynomials specialized at x^2 = q."""
-    _check_enumeration_args(q, k, max_n)
+    _check_enumeration_args(q, k, max_n, "max_n")
     unordered = virtual.virtual_unordered_series(k, max_n)
     reports = []
     for n in range(max_n + 1):

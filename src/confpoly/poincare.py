@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import combinatorics
-from .ring import ONE, LaurentPoly, TruncSeries, X
+from .ring import ONE, LaurentPoly, TruncSeries, X, _natural
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class BettiRow:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 0 or self.n < 0:
-            raise ValueError("k and n must be nonnegative")
+        _natural("k", self.k)
+        _natural("n", self.n)
         if len(self.ranks) != self.n + 1:
             raise ValueError(
                 f"expected {self.n + 1} ranks for n={self.n}, got {len(self.ranks)}"
@@ -46,8 +46,8 @@ def betti_unordered(k: int, n: int) -> BettiRow:
 
     rank H^i = P(k-1, i) + P(k-1, i-1) for i < n, and P(k-1, n) at i = n.
     """
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be nonnegative")
+    _natural("k", k)
+    _natural("n", n)
     P = combinatorics.pyramidal
     ranks = [P(k - 1, i) + P(k - 1, i - 1) for i in range(n)]
     ranks.append(P(k - 1, n))
@@ -62,26 +62,25 @@ def unordered_series(k: int, order: int) -> TruncSeries:
     of inverted factors, 1/(1 - y) times 1/(1 - x*y)^k: each factor has
     one-term coefficients, so no dense series is ever inverted.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, X])
     geometric = TruncSeries(order, [ONE, -1]).inverse()
     return numerator * (geometric * (TruncSeries(order, [ONE, -X]) ** k).inverse())
 
 
-def napolitano_step(q: TruncSeries) -> TruncSeries:
+def napolitano_step(s: TruncSeries) -> TruncSeries:
     """Pass from k punctures to k+1: multiply by 1/(1 - x*y), as the running
     sum c'_0 = c_0, c'_n = c_n + x*c'_(n-1), with no series inverted."""
     out: list[LaurentPoly] = []
-    for c in q.coeffs:
+    for c in s.coeffs:
         out.append(c + X * out[-1] if out else c)
-    return TruncSeries(q.order, out)
+    return TruncSeries(s.order, out)
 
 
 def stable_betti(k: int, j: int) -> int:
     """The common value of rank H^j over all n > j: P(k-1, j) + P(k-1, j-1)."""
-    if k < 0 or j < 0:
-        raise ValueError("k and j must be nonnegative")
+    _natural("k", k)
+    _natural("j", j)
     P = combinatorics.pyramidal
     return P(k - 1, j) + P(k - 1, j - 1)
 
@@ -106,6 +105,6 @@ def _ordered_product(k: int, n: int) -> LaurentPoly:
 def poincare_ordered(k: int, n: int) -> LaurentPoly:
     """Poincare polynomial of the ordered n-point space:
     (1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x)."""
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be nonnegative")
+    _natural("k", k)
+    _natural("n", n)
     return _ordered_product(k, n)

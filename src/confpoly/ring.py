@@ -36,6 +36,13 @@ class NonUnitConstantTermError(ValueError):
     """Series inversion needs a y^0 coefficient that is a monomial +-x^e."""
 
 
+def _natural(name: str, value) -> None:
+    """The one argument check of every public route: raise ValueError,
+    naming the argument, unless ``value`` is an int (not a bool) >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+
+
 class LaurentPoly:
     """An integer Laurent polynomial in ``x``.
 
@@ -195,24 +202,22 @@ def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
     standard Poincare polynomial of an n-point configuration space to the
     virtual one.
     """
-    if n < 0:
-        raise ValueError("weight n must be nonnegative")
+    _natural("n", n)
     return LaurentPoly(
         {2 * n - 2 * e: (c if e % 2 == 0 else -c) for e, c in p._terms.items()}
     )
 
 
-def substitute_duality_inverse(q: LaurentPoly, n: int) -> LaurentPoly:
+def substitute_duality_inverse(v: LaurentPoly, n: int) -> LaurentPoly:
     """Undo :func:`substitute_duality` at weight n.
 
     The forward map lands in polynomials with even support; on those, the
     term ``s*x^(2j)`` pulls back to ``s*(-1)^(n-j) * x^(n-j)``.  Composing
     inverse(forward(p, n), n) returns p exactly, for every p.
     """
-    if n < 0:
-        raise ValueError("weight n must be nonnegative")
+    _natural("n", n)
     out = {}
-    for e, c in q._terms.items():
+    for e, c in v._terms.items():
         if e % 2:
             raise ValueError(f"odd exponent {e}: not in the image of the substitution")
         j = e // 2
@@ -235,8 +240,7 @@ class TruncSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Union[int, LaurentPoly]] = ()):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _natural("order", order)
         polys = []
         for c in coeffs:
             p = _as_poly(c)

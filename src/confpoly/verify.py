@@ -18,8 +18,8 @@ Suites:
                 iterated one-puncture step; raw vs simplified virtual
                 series; polynomial shape invariants; generating-function
                 identities for pyramidal and stable ranks.  The virtual,
-                pyramidal and stable series are carried across k, each
-                by its own one-puncture step; the public virtual routes are built
+                pyramidal and stable series are carried across k by
+                one-puncture steps; the public virtual routes are built
                 only at k = 0 and at the last k, and checked there
                 against the carried series
     duality     transformed standard polynomial == virtual polynomial
@@ -36,7 +36,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import combinatorics, duality, ffield, poincare, virtual
-from .ring import ONE, LaurentPoly, TruncSeries
+from .ring import ONE, LaurentPoly, TruncSeries, _natural
 
 SUITES = ("recursions", "series", "duality", "pointcount", "euler")
 
@@ -120,9 +120,8 @@ class Scope:
         if self.only_k is not None and self.max_k is not None:
             raise ValueError("only_k and max_k exclude each other")
         for name in ("max_k", "max_n", "only_k"):
-            b = getattr(self, name)
-            if b is not None and (type(b) is not int or b < 0):
-                raise ValueError(f"{name} must be a nonnegative int or None, got {b!r}")
+            if getattr(self, name) is not None:
+                _natural(name, getattr(self, name))
         if not self.spaces or len(set(self.spaces) & set(virtual.SPACES)) < len(self.spaces):
             raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {self.spaces}")
 
@@ -225,9 +224,9 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-# One-puncture steps: each carries one series of suite_series from k to
-# k + 1 punctures by running sums and differences, with no series inverted.
-# The raw and simplified virtual forms each have their own step, so no code
+# One-puncture steps: each carries series of suite_series from k to k + 1
+# punctures by running sums and differences, with no series inverted.  The
+# raw and simplified virtual forms each have their own step, so no code
 # builds both.
 
 
@@ -251,14 +250,10 @@ def raw_step(s: TruncSeries) -> TruncSeries:
     return TruncSeries(s.order, out)
 
 
-def pyramidal_step(s: TruncSeries) -> TruncSeries:
-    """1/(1 - y)^(k+1) to 1/(1 - y)^(k+2): the running sum of its coefficients."""
-    return TruncSeries(s.order, accumulate(s.coeffs))
-
-
-def stable_step(s: TruncSeries) -> TruncSeries:
-    """(1 + y)/(1 - y)^k to (1 + y)/(1 - y)^(k+1): the running sum of its
-    coefficients."""
+def running_sum_step(s: TruncSeries) -> TruncSeries:
+    """Multiply by 1/(1 - y), the running sum of the coefficients: carries the
+    pyramidal 1/(1 - y)^(k+1) and the stable (1 + y)/(1 - y)^k to k + 1.  Each
+    is checked against its own formula, never against the other."""
     return TruncSeries(s.order, accumulate(s.coeffs))
 
 
@@ -286,10 +281,11 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     replaces both the order and the shape bound.
 
     ``unordered_series(k)`` is built for every k and checked against the
-    Napolitano chain.  The raw and simplified virtual series and the
-    pyramidal and stable generating functions are carried from k = 0, each
-    by its own step.  At the last k, the public raw and simplified routes
-    are compared with each other and then with the carried series."""
+    Napolitano chain.  The raw and simplified virtual series are carried
+    from k = 0, each by its own step, and the pyramidal and stable
+    generating functions by :func:`running_sum_step`.  At the last k, the
+    public raw and simplified routes are compared with each other and then
+    with the carried series."""
     order, shape_max_n = scope.n(12), scope.n(10)
     ks = scope.ks(6)
     chain_at = _carried(lambda: poincare.unordered_series(0, order), poincare.napolitano_step)
@@ -297,8 +293,8 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     simplified_at = _carried(
         lambda: virtual.virtual_unordered_series(0, order), simplified_step
     )
-    pyramidal_at = _carried(lambda: TruncSeries(order, [ONE, -1]).inverse(), pyramidal_step)
-    stable_at = _carried(lambda: TruncSeries(order, [ONE, ONE]), stable_step)
+    pyramidal_at = _carried(lambda: TruncSeries(order, [ONE, -1]).inverse(), running_sum_step)
+    stable_at = _carried(lambda: TruncSeries(order, [ONE, ONE]), running_sum_step)
 
     def cells(k: int) -> Iterator[Cell]:
         q_series = poincare.unordered_series(k, order)

@@ -23,11 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import ONE, LaurentPoly, TruncSeries
+from .ring import ONE, LaurentPoly, TruncSeries, _natural
 
 SPACES = ("unordered", "ordered")
 
 _X2 = LaurentPoly({2: 1})
+
+
+def check_space(space: str) -> None:
+    """Raise ValueError unless ``space`` is one of :data:`SPACES`."""
+    if space not in SPACES:
+        raise ValueError(f"space must be one of {SPACES}, got {space!r}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,9 @@ class VirtualPoly:
     space: str
 
     def __post_init__(self):
-        if self.space not in SPACES:
-            raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
-        if self.k < 0 or self.n < 0:
-            raise ValueError("k and n must be nonnegative")
+        check_space(self.space)
+        _natural("k", self.k)
+        _natural("n", self.n)
 
 
 # k -> (n, the product of the first n factors): the last falling-factorial
@@ -72,8 +77,8 @@ def _falling_product(k: int, n: int) -> LaurentPoly:
 
 def virtual_ordered(k: int, n: int) -> VirtualPoly:
     """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), expanded."""
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be nonnegative")
+    _natural("k", k)
+    _natural("n", n)
     return VirtualPoly(_falling_product(k, n), k, n, "ordered")
 
 
@@ -83,8 +88,7 @@ def virtual_unordered_series(k: int, order: int) -> TruncSeries:
     The denominator is applied as a product of inverted factors,
     1/(1 - y*x^2) times 1/(1 + y)^k, each with one-term coefficients.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, -_X2])
     point = TruncSeries(order, [ONE, -_X2]).inverse()
     return numerator * (point * (TruncSeries(order, [ONE, 1]) ** k).inverse())
@@ -99,8 +103,7 @@ def getzler_series_raw(k: int, order: int) -> TruncSeries:
     coefficient by coefficient; the equality is exercised by the
     verification suites.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _natural("k", k)  # TruncSeries checks order
     punctures = TruncSeries(order, [ONE, -1]) ** k
     punctures = punctures * (TruncSeries(order, [ONE, 0, -1]) ** k).inverse()
     point = TruncSeries(order, [ONE, -_X2]).inverse()
@@ -109,7 +112,6 @@ def getzler_series_raw(k: int, order: int) -> TruncSeries:
 
 def virtual_unordered(k: int, n: int) -> VirtualPoly:
     """y^n coefficient of the unordered virtual series."""
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be nonnegative")
+    _natural("n", n)  # the series checks k
     series = virtual_unordered_series(k, n)
     return VirtualPoly(series[n], k, n, "unordered")

@@ -75,8 +75,10 @@ class TestCheckDuality:
         assert lhs != rhs
 
     def test_space_validated(self):
-        with pytest.raises(ValueError):
+        # the one space check of virtual, so VirtualPoly's message
+        with pytest.raises(ValueError) as info:
             check_duality(1, 2, "sideways")
+        assert str(info.value) == "space must be one of ('unordered', 'ordered'), got 'sideways'"
 
 
 class TestEulerConsistency:
@@ -107,11 +109,6 @@ class TestFamilies:
             assert last == [PER_N[family](k, n) for n in range(13)]
             for order in range(13):
                 assert list(FAMILIES[family](k, order)) == last[: order + 1]
-
-    @pytest.mark.parametrize("family", list(PER_N))
-    def test_negative_truncation_rejected(self, family):
-        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
-            FAMILIES[family](2, -1)
 
     @pytest.mark.parametrize(
         "family, module, name",

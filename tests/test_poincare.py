@@ -148,16 +148,6 @@ class TestPoincareOrdered:
                         lead *= k + j
                     assert p.coefficient(n) == lead
 
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            poincare_ordered(-1, 2)
-        with pytest.raises(ValueError):
-            betti_unordered(0, -1)
-        with pytest.raises(ValueError):
-            unordered_series(-2, 5)
-        with pytest.raises(ValueError):
-            stable_betti(-1, 0)
-
 
 class TestOrderedRunningProduct:
     @settings(max_examples=40, deadline=None)

@@ -403,9 +403,19 @@ class TestNapolitanoChain:
 
 
 class TestCarriedSeries:
-    """verify series carries four more series from k = 0, each by its own step."""
+    """verify series carries four more series from k = 0: the raw and the
+    simplified virtual forms each by its own step, the pyramidal and the
+    stable series both by running_sum_step."""
 
-    STEPS = ("raw_step", "simplified_step", "pyramidal_step", "stable_step")
+    # the step of each carried series: (function, its calls per k, which of
+    # them carries this series); running_sum_step carries the pyramidal
+    # series first at each k, then the stable one
+    STEPS = {
+        "raw_step": ("raw_step", 1, 0),
+        "simplified_step": ("simplified_step", 1, 0),
+        "pyramidal_step": ("running_sum_step", 2, 0),
+        "stable_step": ("running_sum_step", 2, 1),
+    }
 
     def test_steps_match_per_k_builds(self):
         order = 32
@@ -417,7 +427,7 @@ class TestCarriedSeries:
             "stable_step": lambda k: TruncSeries(order, [1, 1]) * (minus_y**k).inverse(),
         }
         for name, build in builds.items():
-            step, carried = getattr(verify, name), build(0)
+            step, carried = getattr(verify, self.STEPS[name][0]), build(0)
             for k in range(1, 17):
                 carried = step(carried)
                 assert carried == build(k), (name, k)
@@ -457,18 +467,22 @@ class TestCarriedSeries:
             self._count_calls(monkeypatch, virtual, name)
             for name in ("getzler_series_raw", "virtual_unordered_series")
         ]
-        steps = [self._count_calls(monkeypatch, verify, name) for name in self.STEPS]
+        steps = {
+            name: self._count_calls(monkeypatch, verify, name)
+            for name in dict.fromkeys(function for function, _, _ in self.STEPS.values())
+        }
         assert cli.main(["verify", "series", *argv, "--max-n", "6"]) == 0
         capsys.readouterr()
         for calls in public:
             assert calls == [(k, 6) for k in sorted({0, last_k})]
-        for calls in steps:
-            assert len(calls) == last_k
+        for name, per_k, _ in self.STEPS.values():
+            assert len(steps[name]) == per_k * last_k
 
     @pytest.mark.parametrize("name", STEPS)
     @pytest.mark.parametrize("j", [1, 3, 6])
     def test_wrong_step_names_its_k_first(self, monkeypatch, capsys, name, j):
-        self._count_calls(monkeypatch, verify, name, wrong_call=j)
+        function, per_k, nth = self.STEPS[name]
+        self._count_calls(monkeypatch, verify, function, wrong_call=per_k * (j - 1) + nth + 1)
         assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
         out = capsys.readouterr().out
         first = next(line for line in out.splitlines() if line.startswith("first failure:"))

@@ -123,12 +123,9 @@ class TestShapeInvariants:
                     assert all(e % 2 == 0 and e >= 0 for e in p.support())
 
     def test_space_field_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             VirtualPoly(ONE, 0, 0, "diagonal")
-        with pytest.raises(ValueError):
-            virtual_ordered(-1, 2)
-        with pytest.raises(ValueError):
-            virtual_unordered_series(-1, 2)
+        assert str(info.value) == "space must be one of ('unordered', 'ordered'), got 'diagonal'"
 
 
 class TestOrderedRunningProduct:
