@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 
-from .ring import _natural
+from .ring import _integer, _natural
 
 
 class KOutOfRangeError(ValueError):
@@ -33,12 +33,15 @@ class KOutOfRangeError(ValueError):
 _STRIDE = 64
 
 
-@cache
+# typed, so that 2.0 or True never hits the entry of 2 or 1 past the check
+@lru_cache(maxsize=None, typed=True)
 def pyramidal(k: int, i: int) -> int:
     """P(k, i) by the memoized neighbor-sum recursion.
 
     Defined for k >= -1 and any integer i; vanishes for i < 0.
     """
+    _integer("k", k)
+    _integer("i", i)
     if k < -1:
         raise KOutOfRangeError(f"pyramidal numbers need k >= -1, got {k}")
     if i < 0:
@@ -62,6 +65,8 @@ _recurse = pyramidal
 
 def pyramidal_closed_form(k: int, i: int) -> int:
     """P(k, i) as the binomial C(i + k, i); valid for k >= 0."""
+    _integer("k", k)
+    _integer("i", i)
     if k < 0:
         raise KOutOfRangeError(f"closed form needs k >= 0, got {k}")
     if i < 0:
@@ -75,6 +80,7 @@ def pyramidal_rows(max_k: int, max_i: int) -> tuple[tuple[int, ...], ...]:
     Built by running sums row over row (the first recursion), so it is a
     third independent route to the same numbers.
     """
+    _integer("max_k", max_k)
     if max_k < -1:
         raise KOutOfRangeError(f"table needs max_k >= -1, got {max_k}")
     _natural("max_i", max_i)
@@ -94,6 +100,7 @@ def stirling_first_unsigned(n: int, r: int) -> int:
     and keeping only the columns j <= r.
     """
     _natural("n", n)
+    _integer("r", r)
     if r < 0 or r > n:
         return 0
     row = [1] + [0] * r  # c(0, 0..r)

@@ -26,14 +26,15 @@ the first.  Squarefreeness is kept by the translations x -> x + a, so one
 group's verdicts decide its whole orbit of up to q groups: a Taylor shift
 ``_shifted`` finds each translate, whose verdicts are the group's rotated
 by its constant term.  All of it runs on coefficient lists, with one
-long-division kernel ``_divide`` that ``is_squarefree`` and ``FieldPoly``
-use too.
+long-division kernel ``_divide`` that ``is_squarefree`` uses too.
 
 The gcd squarefree test is cross-checked by a second, independent one: a
 sieve that marks every product g^2*h (g monic of degree >= 1), which is
 exactly the set of non-squarefree monic polynomials (the Z(y)/Z(y^2)
-structure of the squarefree count).  The sieve is built by multiplication
-alone and never calls the gcd test.
+structure of the squarefree count).  The sieve multiplies coefficient
+lists with a product loop of its own and shares no helper with the gcd
+test.  ``FieldPoly`` is left as the reference test's polynomial type and
+the name of an offender when the two tests disagree.
 
 Everything here is exhaustive enumeration on purpose.  No counting
 formula from the other modules is allowed in; the module's entire value
@@ -52,8 +53,8 @@ from . import virtual
 from .ring import _natural
 
 # q^n per enumeration, and summed over a pointcount run: about 6 s of work.
-# A degree-7 polynomial over F_7 costs ~4 us in its table, nearly all of it
-# the gcd verdicts (one group run per translation orbit), and ~2 us more in
+# A degree-7 polynomial over F_7 costs ~3 us in its table, nearly all of it
+# the gcd verdicts (one group run per translation orbit), and ~1.3 us more in
 # the square sieve and the tuple count (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
 
@@ -183,22 +184,6 @@ class FieldPoly:
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def _reduced(cls, fld: PrimeField, cs: list[int]) -> "FieldPoly":
-        """A polynomial from a list already reduced mod q, which it strips of
-        leading zeros in place instead of reducing again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "field", fld)
-        object.__setattr__(p, "coeffs", tuple(_stripped(cs)))
-        return p
-
-    def degree(self) -> int:
-        """Degree, with the convention -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldPoly):
             return NotImplemented
@@ -207,34 +192,10 @@ class FieldPoly:
     def __hash__(self) -> int:
         return hash((self.field, self.coeffs))
 
-    def __add__(self, other: "FieldPoly") -> "FieldPoly":
-        q = self.field.q
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % q
-        return FieldPoly._reduced(self.field, out)
-
-    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        q = self.field.q
-        if not self.coeffs or not other.coeffs:
-            return FieldPoly._reduced(self.field, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
-        return FieldPoly._reduced(self.field, out)
-
     def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         quot = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         rem = _divide(self.coeffs, other.coeffs, self.field.q, quot)
-        return FieldPoly._reduced(self.field, quot), FieldPoly._reduced(self.field, rem)
-
-    def derivative(self) -> "FieldPoly":
-        return FieldPoly._reduced(self.field, _derivative(self.coeffs, self.field.q))
+        return FieldPoly(self.field, quot), FieldPoly(self.field, rem)
 
     def evaluate(self, a: int) -> int:
         q = self.field.q
@@ -247,7 +208,7 @@ class FieldPoly:
         """The monic greatest common divisor; zero when both are zero."""
         q = self.field.q
         g = _gcd(self.coeffs, other.coeffs, q)
-        return FieldPoly._reduced(self.field, [c * _inverses(q)[g[-1]] % q for c in g])
+        return FieldPoly(self.field, [c * _inverses(q)[g[-1]] for c in g])
 
     def __repr__(self) -> str:
         return f"FieldPoly(q={self.field.q}, coeffs={self.coeffs})"
@@ -258,30 +219,21 @@ def monic_polys(fld: PrimeField, degree: int) -> Iterator[FieldPoly]:
     low coefficients."""
     _natural("degree", degree)
     lows = itertools.product(range(fld.q), repeat=degree)
-    return (FieldPoly._reduced(fld, [*low, 1]) for low in lows)
+    return (FieldPoly(fld, [*low, 1]) for low in lows)
 
 
 def is_squarefree(f: FieldPoly) -> bool:
     """Squarefree test: gcd with the formal derivative is a nonzero constant."""
-    if f.is_zero():
+    if not f.coeffs:
         return False
     q = f.field.q
     return len(_gcd(f.coeffs, _derivative(f.coeffs, q), q)) == 1
 
 
-def _index(f: FieldPoly) -> int:
-    """Position of a monic polynomial in the :func:`monic_polys` order: its
-    low coefficients read as a base-q number, constant term most
-    significant."""
-    q, index = f.field.q, 0
-    for c in f.coeffs[:-1]:
-        index = index * q + c
-    return index
-
-
 def _monic_at(fld: PrimeField, n: int, index: int) -> FieldPoly:
     """The monic degree-n polynomial at ``index`` in the :func:`monic_polys`
-    order; inverse of :func:`_index`."""
+    order, where a polynomial's low coefficients read as a base-q number,
+    constant term most significant."""
     low = []
     for _ in range(n):
         index, c = divmod(index, fld.q)
@@ -289,25 +241,37 @@ def _monic_at(fld: PrimeField, n: int, index: int) -> FieldPoly:
     return FieldPoly(fld, low[::-1] + [1])
 
 
-def _square_multiples(fld: PrimeField, n: int) -> Iterator[FieldPoly]:
-    """Every product g*g*h with g monic of degree d in 1..n//2 and h monic
-    of degree n - 2d, repeats included.  These are exactly the monic
-    degree-n polynomials that are not squarefree."""
+def _square_multiples(q: int, n: int) -> Iterator[int]:
+    """The index, in the :func:`monic_polys` order, of every product g*g*h
+    with g monic of degree d in 1..n//2 and h monic of degree n - 2d,
+    repeats included.  These are exactly the monic degree-n polynomials
+    that are not squarefree."""
+
+    def times(a, b) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
     for d in range(1, n // 2 + 1):
-        for g in monic_polys(fld, d):
-            square = g * g
-            for h in monic_polys(fld, n - 2 * d):
-                yield square * h
+        for low in itertools.product(range(q), repeat=d):
+            square = times((*low, 1), (*low, 1))
+            for high in itertools.product(range(q), repeat=n - 2 * d):
+                index = 0
+                for c in times(square, (*high, 1))[:-1]:
+                    index = index * q + c % q
+                yield index
 
 
 @cache
 def _square_sieve(q: int, n: int) -> bytes:
     """Byte i is 1 if the i-th monic degree-n polynomial is a multiple of a
-    square, 0 if it is squarefree.  Built by multiplication alone, so it
-    shares no code with the gcd test it cross-checks."""
+    square, 0 if it is squarefree.  Built by multiplying coefficient lists,
+    so it shares no code with the gcd test it cross-checks."""
     sieve = bytearray(q**n)
-    for f in _square_multiples(PrimeField(q), n):
-        sieve[_index(f)] = 1
+    for i in _square_multiples(q, n):
+        sieve[i] = 1
     return bytes(sieve)
 
 

@@ -43,6 +43,14 @@ def _natural(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
 
 
+def _integer(name: str, value) -> None:
+    """The check of an argument whose domain has a rule of its own (k >= -1,
+    any i, a negative power): raise ValueError, naming the argument, unless
+    ``value`` is an int (not a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class LaurentPoly:
     """An integer Laurent polynomial in ``x``.
 
@@ -295,6 +303,7 @@ class TruncSeries:
         return TruncSeries(self._order, [_dot(ps) for ps in pairs])
 
     def __pow__(self, n: int) -> "TruncSeries":
+        _integer("n", n)
         if n < 0:
             raise ValueError("negative series powers: invert first")
         result = TruncSeries(self._order, [ONE])

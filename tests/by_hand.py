@@ -3,7 +3,9 @@
 The ordered products are multiplied out one factor at a time, and both
 running-product stores are checked against them. The series product is
 a plain convolution over exponent dicts, against which ``TruncSeries``
-multiplication is checked. ``assert_inverts_factors`` counts what a
+multiplication is checked. The product over F_q multiplies coefficient
+tuples, against which ``FieldPoly`` division and gcd and the squarefree
+test are checked. ``assert_inverts_factors`` counts what a
 generating-series route costs, so a test can bound it without timing
 anything.
 """
@@ -44,6 +46,22 @@ def series_product_by_hand(a, b):
                     terms[e1 + e2] = terms.get(e1 + e2, 0) + c
         out.append({e: c for e, c in terms.items() if c})
     return out
+
+
+def field_product_by_hand(q, *factors):
+    """The product of coefficient tuples (lowest degree first) over F_q,
+    reduced mod q and with no zero leading coefficient."""
+    product = [1]
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = out
+    product = [c % q for c in product]
+    while product and product[-1] == 0:
+        product.pop()
+    return tuple(product)
 
 
 def assert_inverts_factors(monkeypatch, route, k=32, order=64):

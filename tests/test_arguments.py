@@ -7,6 +7,10 @@ The cases come from introspection, by parameter name, over the public
 functions and classes of the library modules, every ``duality.FAMILIES``
 entry and ``verify.Scope``.  So a new route whose k or n goes unchecked
 fails here, unless ``EXEMPT`` names it with a reason.
+
+An integer argument whose domain has a rule of its own (``INTEGER``: the
+pyramidal k >= -1 and any i, the Stirling r, a series power) refuses a
+value that is not an int, or is a bool, the same way, and keeps its domain.
 """
 
 import inspect
@@ -14,7 +18,8 @@ import inspect
 import pytest
 
 from confpoly import combinatorics, duality, ffield, poincare, ring, verify, virtual
-from confpoly.ring import ONE
+from confpoly.combinatorics import KOutOfRangeError
+from confpoly.ring import ONE, TruncSeries
 
 MODULES = (ring, combinatorics, poincare, virtual, duality, ffield)
 
@@ -25,19 +30,27 @@ BAD = (2.0, True, "2", -1)
 # a valid value for each parameter without a default, natural or not
 VALID = {
     "k": 1, "n": 2, "j": 1, "order": 2, "max_n": 2, "max_i": 2, "q": 3, "degree": 2,
-    "max_k": 1, "r": 1, "p": ONE, "v": ONE, "poly": ONE,
+    "max_k": 1, "i": 2, "r": 1, "p": ONE, "v": ONE, "poly": ONE,
     "ranks": (1, 2, 2), "space": "ordered", "fld": ffield.PrimeField(3), "primes": (3,),
 }
 
 # entry points, or "entry(argument)" for one argument, whose natural-looking
 # arguments follow another rule, and why
 EXEMPT = {
-    "combinatorics.pyramidal": "domain k >= -1 (KOutOfRangeError) and any integer i",
-    "combinatorics.pyramidal_closed_form":
-        "domain k >= 0 (KOutOfRangeError) and any integer i, like pyramidal",
-    "combinatorics.pyramidal_rows(max_k)":
-        "the rows start at k = -1, so max_k >= -1 (KOutOfRangeError)",
     "ffield.OracleReport": "a record that oracle_check fills from its checked arguments",
+}
+
+NOT_INT = (2.0, True, "2")
+
+# "entry(argument)" of each integer argument with a domain of its own, and
+# the least value of that domain (KOutOfRangeError below it), or None
+INTEGER = {
+    "combinatorics.pyramidal(k)": -1,
+    "combinatorics.pyramidal(i)": None,  # P(k, i) = 0 for i < 0
+    "combinatorics.pyramidal_closed_form(k)": 0,
+    "combinatorics.pyramidal_closed_form(i)": None,
+    "combinatorics.pyramidal_rows(max_k)": -1,  # the rows start at k = -1
+    "combinatorics.stirling_first_unsigned(r)": None,  # c(n, r) = 0 outside 0..n
 }
 
 
@@ -67,8 +80,18 @@ CANDIDATES = [
 CASES = [
     (name, entry, argument)
     for name, entry, argument in CANDIDATES
-    if name not in EXEMPT and f"{name}({argument})" not in EXEMPT
+    if name not in EXEMPT and f"{name}({argument})" not in EXEMPT | INTEGER.keys()
 ]
+ENTRIES = dict(_entries())
+
+
+def _valid_kwargs(entry):
+    """A valid value for every parameter of ``entry`` without a default."""
+    return {
+        p.name: VALID[p.name]
+        for p in inspect.signature(entry).parameters.values()
+        if p.default is inspect.Parameter.empty
+    }
 
 
 @pytest.mark.parametrize(
@@ -81,15 +104,38 @@ CASES = [
 )
 def test_bad_natural_argument_is_named(entry, argument, value):
     # every other parameter without a default gets a valid value
-    kwargs = {
-        p.name: VALID[p.name]
-        for p in inspect.signature(entry).parameters.values()
-        if p.default is inspect.Parameter.empty
-    }
+    kwargs = _valid_kwargs(entry)
     entry(**kwargs)  # first, so a memoized route cannot answer 2.0 from the entry of 2
     with pytest.raises(ValueError) as info:
         entry(**{**kwargs, argument: value})
     assert str(info.value) == f"{argument} must be a nonnegative int, got {value!r}"
+
+
+@pytest.mark.parametrize("key", INTEGER)
+def test_integer_argument_is_named(key):
+    name, _, argument = key.rstrip(")").partition("(")
+    entry, least = ENTRIES[name], INTEGER[key]
+    kwargs = _valid_kwargs(entry)
+    for value in NOT_INT:
+        entry(**kwargs)  # first, so a memoized route cannot answer 2.0 from the entry of 2
+        with pytest.raises(ValueError) as info:
+            entry(**{**kwargs, argument: value})
+        assert str(info.value) == f"{argument} must be an int, got {value!r}"
+    # the domain is kept: -1 where it allows it, KOutOfRangeError below it
+    entry(**{**kwargs, argument: -1 if least is None else least})
+    if least is not None:
+        with pytest.raises(KOutOfRangeError):
+            entry(**{**kwargs, argument: least - 1})
+
+
+@pytest.mark.parametrize("value", NOT_INT, ids=repr)
+def test_series_power_must_be_an_int(value):
+    series = TruncSeries(2, [1, 1])
+    assert series**1 == series
+    with pytest.raises(ValueError, match=f"n must be an int, got {value!r}"):
+        series**value
+    with pytest.raises(ValueError, match="invert first"):
+        series**-1
 
 
 def test_exemptions_are_current():

@@ -25,6 +25,8 @@ from confpoly.ffield import (
     squarefree_disagreements,
 )
 
+from by_hand import field_product_by_hand
+
 # count_squarefree_coprime(q, k, n) and count_ordered_configs(q, k, n) for
 # n = 0..5, as the per-(k, n) enumeration computed them before the counts
 # moved to one table per (q, n)
@@ -135,62 +137,66 @@ class TestFieldPoly:
     def test_normalization(self):
         f5 = PrimeField(5)
         assert FieldPoly(f5, (1, 2, 0, 0)).coeffs == (1, 2)
-        assert FieldPoly(f5, (0, 0)).is_zero()
+        assert FieldPoly(f5, (0, 0)).coeffs == ()
         assert FieldPoly(f5, (7, 6)).coeffs == (2, 1)
 
     def test_divmod_exhaustive(self):
+        # every f of degree <= 3 over F_3 is h*g + r for exactly one h and
+        # one r with deg r < deg g, so this reaches each (f, g) pair once
         f3 = PrimeField(3)
-        import itertools
-
-        all_f = [FieldPoly(f3, c) for c in itertools.product(range(3), repeat=4)]
         divisors = [
-            FieldPoly(f3, c)
-            for c in itertools.product(range(3), repeat=3)
-            if any(c)
+            (*low, lead)
+            for deg in range(3)
+            for lead in (1, 2)
+            for low in itertools.product(range(3), repeat=deg)
         ]
-        for f in all_f:
-            for g in divisors:
-                quot, rem = divmod(f, g)
-                assert quot * g + rem == f
-                assert rem.degree() < g.degree()
-                # reduced and stripped, as the constructor would leave them
-                for p in (quot, rem):
-                    assert p.coeffs == FieldPoly(f3, p.coeffs).coeffs
-        zero = FieldPoly(f3, ())
+        for g in divisors:
+            deg = len(g) - 1
+            for h in itertools.product(range(3), repeat=4 - deg):
+                for r in itertools.product(range(3), repeat=deg):
+                    hg = field_product_by_hand(3, h, g)
+                    f = [a + b for a, b in itertools.zip_longest(hg, r, fillvalue=0)]
+                    # reduced and stripped, as the constructor leaves them
+                    assert divmod(FieldPoly(f3, f), FieldPoly(f3, g)) == (
+                        FieldPoly(f3, h), FieldPoly(f3, r)
+                    )
         with pytest.raises(ZeroDivisionError):
-            divmod(all_f[5], zero)
+            divmod(FieldPoly(f3, (2, 1, 0, 1)), FieldPoly(f3, ()))
 
     def test_derivative(self):
-        f5 = PrimeField(5)
         # d/dt (t^5 + 2t^2 + 3) = 5t^4 + 4t = 4t over F_5
-        f = FieldPoly(f5, (3, 0, 2, 0, 0, 1))
-        assert f.derivative().coeffs == (0, 4)
+        assert ffield._derivative([3, 0, 2, 0, 0, 1], 5) == [0, 4]
 
     def test_gcd_monic_and_divides(self):
         f5 = PrimeField(5)
-        a = FieldPoly(f5, (1, 1))       # t + 1
-        b = FieldPoly(f5, (2, 1))       # t + 2
-        c = FieldPoly(f5, (4, 1))       # t + 4
-        g = (a * b).gcd(a * c)
-        assert g == a
-        assert ((a * a * b).gcd(a * a * c)) == a * a
-        two = FieldPoly(f5, (2,))
-        assert (two * a * b).gcd(two * a * c) == a
+        a, b, c, two = (1, 1), (2, 1), (4, 1), (2,)  # t + 1, t + 2, t + 4, 2
+
+        def gcd(*pair):
+            f, g = (FieldPoly(f5, field_product_by_hand(5, *factors)) for factors in pair)
+            return f.gcd(g).coeffs
+
+        assert gcd((a, b), (a, c)) == a
+        assert gcd((a, a, b), (a, a, c)) == field_product_by_hand(5, a, a)
+        assert gcd((two, a, b), (two, a, c)) == a
 
     def test_gcd_exhaustive(self):
         f3 = PrimeField(3)
         polys = [FieldPoly(f3, c) for c in itertools.product(range(3), repeat=3)]
-        monics = [h for n in range(3) for h in monic_polys(f3, n)]
+        monics = [
+            FieldPoly(f3, (*low, 1))
+            for n in range(3)
+            for low in itertools.product(range(3), repeat=n)
+        ]
         zero, one = FieldPoly(f3, ()), FieldPoly(f3, (1,))
 
         def divides(h, f):
-            return divmod(f, h)[1].is_zero()
+            return not divmod(f, h)[1].coeffs
 
         for f in polys:
             for g in polys:
                 d = f.gcd(g)
-                if f.is_zero() and g.is_zero():
-                    assert d.is_zero()
+                if not f.coeffs and not g.coeffs:
+                    assert d == zero
                     continue
                 # monic, a common divisor, and divisible by every common divisor
                 assert d.coeffs[-1] == 1
@@ -209,40 +215,38 @@ class TestFieldPoly:
 class TestSquarefree:
     def test_known_cases(self):
         f3 = PrimeField(3)
-        t = FieldPoly(f3, (0, 1))
-        one = FieldPoly(f3, (1,))
-        assert is_squarefree(one)
-        assert is_squarefree(t)
-        assert not is_squarefree(t * t)
-        assert not is_squarefree(t * t * (t + one))
+        t, one = (0, 1), (1,)
+        assert is_squarefree(FieldPoly(f3, one))
+        assert is_squarefree(FieldPoly(f3, t))
+        assert not is_squarefree(FieldPoly(f3, field_product_by_hand(3, t, t)))
+        assert not is_squarefree(FieldPoly(f3, field_product_by_hand(3, t, t, (1, 1))))
 
     def test_inseparable_power(self):
         # t^3 = (t)^3 over F_3; derivative vanishes identically
-        f3 = PrimeField(3)
-        cube = FieldPoly(f3, (0, 0, 0, 1))
-        assert cube.derivative().is_zero()
-        assert not is_squarefree(cube)
+        cube = (0, 0, 0, 1)
+        assert ffield._derivative(cube, 3) == []
+        assert not is_squarefree(FieldPoly(PrimeField(3), cube))
 
     def test_derivative_not_monic(self):
         # over F_7 the derivative of a monic quintic has leading coefficient 5
         f7 = PrimeField(7)
-        t = FieldPoly(f7, (0, 1))
-        linear = [t + FieldPoly(f7, (c,)) for c in range(5)]
-        distinct = linear[0] * linear[1] * linear[2] * linear[3] * linear[4]
-        repeated = linear[1] * linear[1] * (t * t * t + FieldPoly(f7, (2,)))
+        linear = [(c, 1) for c in range(5)]  # t + c
+        distinct = field_product_by_hand(7, *linear)
+        # (t + 1)^2 (t^3 + 2)
+        repeated = field_product_by_hand(7, linear[1], linear[1], (2, 0, 0, 1))
         for f in (distinct, repeated):
-            assert f.degree() == 5 and f.derivative().coeffs[-1] == 5
-        assert is_squarefree(distinct)
-        assert not is_squarefree(repeated)
+            assert len(f) == 6 and ffield._derivative(f, 7)[-1] == 5
+        assert is_squarefree(FieldPoly(f7, distinct))
+        assert not is_squarefree(FieldPoly(f7, repeated))
 
     def test_vanishing_derivative(self):
         # x^q + c = (x + c)^q over F_q, while x^q - x has derivative -1
         for q in (2, 3, 5, 7):
             fld = PrimeField(q)
             for c in range(q):
-                f = FieldPoly(fld, (c,) + (0,) * (q - 1) + (1,))
-                assert f.derivative().is_zero()
-                assert not is_squarefree(f)
+                f = (c,) + (0,) * (q - 1) + (1,)
+                assert ffield._derivative(f, q) == []
+                assert not is_squarefree(FieldPoly(fld, f))
             assert is_squarefree(FieldPoly(fld, (0, -1) + (0,) * (q - 2) + (1,)))
 
     def test_constants(self):
@@ -253,25 +257,24 @@ class TestSquarefree:
 
     def test_large_field(self):
         f97 = PrimeField(97)
-        t = FieldPoly(f97, (0, 1))
-        a, b, c = (t + FieldPoly(f97, (r,)) for r in (1, 2, 50))
-        assert is_squarefree(a * b * c)
-        assert not is_squarefree(a * a * c)
-        assert not is_squarefree(a * b * b * c)
+        a, b, c = ((r, 1) for r in (1, 2, 50))  # t + r
+        assert is_squarefree(FieldPoly(f97, field_product_by_hand(97, a, b, c)))
+        assert not is_squarefree(FieldPoly(f97, field_product_by_hand(97, a, a, c)))
+        assert not is_squarefree(FieldPoly(f97, field_product_by_hand(97, a, b, b, c)))
 
     def test_disagreement_scan_empty(self):
-        for q in (2, 3, 5):
-            for n in range(5):
+        # n >= p covers the inseparable cases such as x^p + c
+        for q, max_n in ((2, 10), (3, 7), (5, 5), (7, 5), (11, 4), (13, 3)):
+            for n in range(max_n + 1):
                 assert squarefree_disagreements(q, n) == []
 
     def test_dropped_sieve_product_is_named(self, monkeypatch, fresh_tables):
-        f3 = PrimeField(3)
-        t = FieldPoly(f3, (0, 1))
-        dropped = t * t * (t + FieldPoly(f3, (1,)))  # only as g^2*h with g = t
+        dropped = FieldPoly(PrimeField(3), (0, 0, 1, 1))  # t^2 (t + 1), only as g^2*h with g = t
+        at = 1  # its low coefficients (0, 0, 1) in base 3, constant term most significant
         real = ffield._square_multiples
 
-        def leaky(fld, n):
-            return (f for f in real(fld, n) if f != dropped)
+        def leaky(q, n):
+            return (i for i in real(q, n) if (q, n, i) != (3, 3, at))
 
         monkeypatch.setattr(ffield, "_square_multiples", leaky)
         assert squarefree_disagreements(3, 3) == [dropped]
@@ -279,7 +282,7 @@ class TestSquarefree:
 
     def test_first_offender_is_named(self, monkeypatch, fresh_tables):
         # the sieve marks nothing, so every non-squarefree cubic is an offender
-        monkeypatch.setattr(ffield, "_square_multiples", lambda fld, n: iter(()))
+        monkeypatch.setattr(ffield, "_square_multiples", lambda q, n: iter(()))
         squareful = [f for f in monic_polys(PrimeField(3), 3) if not is_squarefree(f)]
         assert len(squareful) > 1
         assert squarefree_disagreements(3, 3) == squareful[:1]
@@ -332,11 +335,12 @@ class TestSquarefree:
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
         for name in (
             "is_squarefree", "_squarefree_group", "_shifted", "_gcd", "_divide", "_derivative",
-            "_inverses",
+            "_inverses", "_stripped", "monic_polys",
         ):
             monkeypatch.setattr(ffield, name, _raise)
-        for name in ("gcd", "derivative", "__divmod__"):
-            monkeypatch.setattr(FieldPoly, name, _raise)
+        for name, value in list(vars(FieldPoly).items()):
+            if inspect.isfunction(value):
+                monkeypatch.setattr(FieldPoly, name, _raise)
         for q in (2, 3, 5, 7):
             for n in range(6):
                 sieve = ffield._square_sieve(q, n)

@@ -162,6 +162,7 @@ KEEP = {
     "ffield.FieldPoly.__divmod__": "perfbench tracer target",
     "ffield.FieldPoly.gcd": "perfbench tracer target",
     "ffield.is_squarefree": "perfbench tracer target; the reference squarefree test",
+    "ffield.monic_polys": "perfbench tracer target; the reference tests' enumeration order",
     "virtual.virtual_unordered": "perfbench tracer target; criterion 1 calls it",
     "ffield.FieldPoly.evaluate": "reference route for the smallest-root table",
     "ffield._monic_at": "failure path: names a squarefree disagreement",
@@ -169,10 +170,6 @@ KEEP = {
     "ffield.FieldPoly.__repr__": "failure path: the offender in a FAIL detail",
     "verify._crashed": "failure path: a cell or a k that raised",
     "ffield.clear_caches": "criterion 9 empties the tables after patching what builds them",
-    "ffield.FieldPoly.__add__": "the tests state the field laws with it",
-    "ffield.FieldPoly.degree": "the tests state the field laws with it",
-    "ffield.FieldPoly.derivative": "the tests state the field laws with it",
-    "ffield.FieldPoly.is_zero": "the tests state the field laws with it",
     "ffield.FieldPoly.__eq__": "value dunder",
     "ffield.FieldPoly.__hash__": "value dunder",
     "ring.LaurentPoly.__hash__": "value dunder",
