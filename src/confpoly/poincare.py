@@ -58,19 +58,18 @@ def unordered_series(k: int, order: int) -> TruncSeries:
     """(1 + x*y^2) / ((1 - y)(1 - x*y)^k) truncated at y^order.
 
     The y^n coefficient is the Poincare polynomial of the unordered
-    n-point configuration space.  The denominator is applied as a product
-    of inverted factors, 1/(1 - y) times 1/(1 - x*y)^k: each factor has
-    one-term coefficients, so no dense series is ever inverted.
+    n-point configuration space.  The numerator is divided by one factor
+    at a time, (1 - x*y)^k and then 1 - y: each has one-term coefficients,
+    so no dense series is ever inverted.
     """
     _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, X])
-    geometric = TruncSeries(order, [ONE, -1]).inverse()
-    return numerator * (geometric * (TruncSeries(order, [ONE, -X]) ** k).inverse())
+    return numerator / TruncSeries(order, [ONE, -X]) ** k / TruncSeries(order, [ONE, -1])
 
 
 def napolitano_step(s: TruncSeries) -> TruncSeries:
     """Pass from k punctures to k+1: multiply by 1/(1 - x*y), as the running
-    sum c'_0 = c_0, c'_n = c_n + x*c'_(n-1), with no series inverted."""
+    sum c'_0 = c_0, c'_n = c_n + x*c'_(n-1), with no series divided."""
     out: list[LaurentPoly] = []
     for c in s.coeffs:
         out.append(c + X * out[-1] if out else c)

@@ -13,10 +13,11 @@ Two immutable ring types live here:
     coefficients are ``LaurentPoly`` values.  Arithmetic takes series only
     and agrees with full power-series arithmetic modulo ``y^(N+1)``.  The
     truncation order is part of the value; mixing orders raises instead of
-    silently re-truncating.
+    silently re-truncating.  Division by a series with a unit y^0
+    coefficient +-x^e is exact; ``inverse`` is the quotient 1 / s.
 
-All coefficients are Python ints (arbitrary precision), never floats, so
-every comparison in the test suite is an exact equality.
+All exponents and coefficients are Python ints (arbitrary precision), never
+floats or bools, so every comparison in the test suite is an exact equality.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class OrderMismatchError(ValueError):
 
 
 class NonUnitConstantTermError(ValueError):
-    """Series inversion needs a y^0 coefficient that is a monomial +-x^e."""
+    """Series division needs a y^0 coefficient that is a monomial +-x^e."""
 
 
 def _natural(name: str, value) -> None:
@@ -67,7 +68,20 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+        self._terms = {}
+        for e, c in (terms or {}).items():
+            _integer("exponent", e)
+            _integer("coefficient", c)
+            if c:
+                self._terms[e] = c
+
+    @classmethod
+    def _make(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """The polynomial on ``terms`` as given, unchecked: for the kernels,
+        whose terms are ints already and which drop zero coefficients."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
 
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
@@ -93,12 +107,12 @@ class LaurentPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._make({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._make({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
         other = _as_poly(other)
@@ -130,9 +144,8 @@ class LaurentPoly:
     # -- comparisons and rendering ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -181,8 +194,8 @@ X = LaurentPoly({1: 1})
 def _as_poly(value) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, int):
-        return LaurentPoly({0: value})
+    if type(value) is int:
+        return LaurentPoly._make({0: value} if value else {})
     return NotImplemented
 
 
@@ -194,7 +207,7 @@ def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
             for e2, c2 in b._terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-    return LaurentPoly(out)
+    return LaurentPoly._make({e: c for e, c in out.items() if c})
 
 
 def _nonzero(coeffs: tuple[LaurentPoly, ...]) -> list[tuple[int, LaurentPoly]]:
@@ -211,7 +224,7 @@ def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
     virtual one.
     """
     _natural("n", n)
-    return LaurentPoly(
+    return LaurentPoly._make(
         {2 * n - 2 * e: (c if e % 2 == 0 else -c) for e, c in p._terms.items()}
     )
 
@@ -230,7 +243,7 @@ def substitute_duality_inverse(v: LaurentPoly, n: int) -> LaurentPoly:
             raise ValueError(f"odd exponent {e}: not in the image of the substitution")
         j = e // 2
         out[n - j] = c if (n - j) % 2 == 0 else -c
-    return LaurentPoly(out)
+    return LaurentPoly._make(out)
 
 
 class TruncSeries:
@@ -306,41 +319,48 @@ class TruncSeries:
         _integer("n", n)
         if n < 0:
             raise ValueError("negative series powers: invert first")
-        result = TruncSeries(self._order, [ONE])
-        base = self
+        result, base = TruncSeries(self._order, [ONE]), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse modulo y^(N+1).
+    def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
+        """The exact quotient modulo y^(N+1): the series q with q * other == self.
 
-        The y^0 coefficient must be a single monomial with coefficient
-        +-1 (the only units available over the integers); otherwise
-        :class:`NonUnitConstantTermError` is raised.
+        The y^0 coefficient of ``other`` must be a single monomial with
+        coefficient +-1 (the only units available over the integers);
+        otherwise :class:`NonUnitConstantTermError` is raised.
         """
-        a0 = self._coeffs[0]
-        items = a0._terms
-        if len(items) != 1:
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        self._match(other)
+        b0 = other._coeffs[0]
+        if len(b0._terms) != 1:
             raise NonUnitConstantTermError(
-                f"y^0 coefficient {a0} is not a monomial unit"
+                f"y^0 coefficient {b0} is not a monomial unit"
             )
-        ((e, c),) = items.items()
+        ((e, c),) = b0._terms.items()
         if c not in (1, -1):
             raise NonUnitConstantTermError(
-                f"y^0 coefficient {a0} has non-unit coefficient {c}"
+                f"y^0 coefficient {b0} has non-unit coefficient {c}"
             )
-        b0 = LaurentPoly({-e: c})
-        # b_m = -b0 * (a_1 b_(m-1) + ... + a_m b_0) over the nonzero a_i alone
-        # (a_0, a unit, is the first), so a polynomial of degree d costs at
-        # most d products per coefficient
-        a, out = _nonzero(self._coeffs)[1:], [b0]
-        for m in range(1, self._order + 1):
-            out.append(-(b0 * _dot((p, out[m - i]) for i, p in a if i <= m)))
+        unit = LaurentPoly._make({-e: c})
+        # q_m = unit * (s_m - t_1 q_(m-1) - ... - t_m q_0) over the nonzero t_i
+        # alone, with -unit * t_i made once, so a divisor of degree d costs
+        # at most d + 1 products per coefficient, in one _dot
+        t = [(i, -(unit * p)) for i, p in _nonzero(other._coeffs)[1:]]
+        out: list[LaurentPoly] = []
+        for m, s in enumerate(self._coeffs):
+            out.append(_dot([(unit, s), *((p, out[m - i]) for i, p in t if i <= m)]))
         return TruncSeries(self._order, out)
+
+    def inverse(self) -> "TruncSeries":
+        """Multiplicative inverse modulo y^(N+1): the quotient 1 / self."""
+        return TruncSeries(self._order, [ONE]) / self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):

@@ -225,7 +225,7 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
 
 
 # One-puncture steps: each carries series of suite_series from k to k + 1
-# punctures by running sums and differences, with no series inverted.  The
+# punctures by running sums and differences, with no series divided.  The
 # raw and simplified virtual forms each have their own step, so no code
 # builds both.
 

@@ -85,29 +85,26 @@ def virtual_ordered(k: int, n: int) -> VirtualPoly:
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:
     """(1 - y^2*x^2) / ((1 - y*x^2)(1 + y)^k) truncated at y^order.
 
-    The denominator is applied as a product of inverted factors,
-    1/(1 - y*x^2) times 1/(1 + y)^k, each with one-term coefficients.
+    The numerator is divided by one factor at a time, (1 + y)^k and then
+    1 - y*x^2, each with one-term coefficients.
     """
     _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, -_X2])
-    point = TruncSeries(order, [ONE, -_X2]).inverse()
-    return numerator * (point * (TruncSeries(order, [ONE, 1]) ** k).inverse())
+    return numerator / TruncSeries(order, [ONE, 1]) ** k / TruncSeries(order, [ONE, -_X2])
 
 
 def getzler_series_raw(k: int, order: int) -> TruncSeries:
     """The unsimplified form (1 - y^2*x^2)(1 - y)^k / ((1 - y*x^2)(1 - y^2)^k).
 
-    The denominator is applied as a product of inverted factors: the
-    integer series (1 - y)^k / (1 - y^2)^k first, then 1/(1 - y*x^2), then
-    the numerator.  Must agree with :func:`virtual_unordered_series`
-    coefficient by coefficient; the equality is exercised by the
-    verification suites.
+    The integer series (1 - y)^k / (1 - y^2)^k is made first, by one
+    division; the numerator times it is then divided by 1 - y*x^2.  Must
+    agree with :func:`virtual_unordered_series` coefficient by coefficient;
+    the equality is exercised by the verification suites.
     """
     _natural("k", k)  # TruncSeries checks order
-    punctures = TruncSeries(order, [ONE, -1]) ** k
-    punctures = punctures * (TruncSeries(order, [ONE, 0, -1]) ** k).inverse()
-    point = TruncSeries(order, [ONE, -_X2]).inverse()
-    return TruncSeries(order, [ONE, 0, -_X2]) * (punctures * point)
+    punctures = TruncSeries(order, [ONE, -1]) ** k / TruncSeries(order, [ONE, 0, -1]) ** k
+    numerator = TruncSeries(order, [ONE, 0, -_X2])
+    return numerator * punctures / TruncSeries(order, [ONE, -_X2])
 
 
 def virtual_unordered(k: int, n: int) -> VirtualPoly:

@@ -1,6 +1,7 @@
 """Arithmetic kernel: Laurent polynomials, truncated series, duality substitution."""
 
 import doctest
+import re
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,15 @@ invertible_series = st.tuples(unit_heads, st.lists(polys, max_size=4)).map(
     lambda pair: TruncSeries(4, [pair[0], *pair[1]])
 )
 
+# divisors whose y^0 coefficient is +-x^e with e != 0
+shifted_heads = st.tuples(
+    st.sampled_from([1, -1]), st.integers(min_value=-3, max_value=3).filter(bool)
+).map(lambda ce: LaurentPoly({ce[1]: ce[0]}))
+
+shifted_series = st.tuples(shifted_heads, st.lists(polys, max_size=4)).map(
+    lambda pair: TruncSeries(4, [pair[0], *pair[1]])
+)
+
 
 # polynomials in y of degree <= 5 with zero gaps, truncated at an order
 # that cuts some products short: the inputs whose zeros the product skips
@@ -88,6 +98,28 @@ class TestStoredForm:
         const = terms.get(0, 0)
         assert LaurentPoly({1: 0, 0: const}) == const
         assert hash(LaurentPoly({1: 0, 0: const})) == hash(const)
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            ({0: 1.5}, "coefficient must be an int, got 1.5"),
+            ({0.5: 2}, "exponent must be an int, got 0.5"),
+            ({0: True}, "coefficient must be an int, got True"),
+            ({True: 1}, "exponent must be an int, got True"),
+            ({0: "1"}, "coefficient must be an int, got '1'"),
+            ({1: 2, 0.5: 0}, "exponent must be an int, got 0.5"),
+        ],
+    )
+    def test_terms_must_be_ints(self, terms, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LaurentPoly(terms)
+
+    def test_bool_is_not_a_coefficient(self):
+        with pytest.raises(TypeError):
+            TruncSeries(2, [ONE, True])
+        with pytest.raises(TypeError):
+            X + True
+        assert LaurentPoly({0: 1}) != True
 
     def test_docstring_examples(self):
         failed, attempted = doctest.testmod(ring)
@@ -259,11 +291,57 @@ class TestSeriesInv:
         assert s * inv == one
         assert inv * s == one
 
-    # the generating-series routes invert their denominators factor by factor
     @given(invertible_series, invertible_series, st.integers(min_value=0, max_value=5))
     def test_inverse_of_products_and_powers(self, a, b, k):
         assert (a * b).inverse() == a.inverse() * b.inverse()
         assert (a**k).inverse() == a.inverse() ** k
+
+
+class TestSeriesDiv:
+    @given(series, invertible_series | shifted_series)
+    def test_product_divided_by_factor(self, a, b):
+        assert (a * b) / b == a
+
+    @given(series, invertible_series | shifted_series)
+    def test_quotient_times_divisor(self, a, b):
+        assert (a / b) * b == a
+
+    @given(series, invertible_series | shifted_series)
+    def test_matches_inverse_product(self, a, b):
+        assert a / b == a * b.inverse()
+
+    @given(sparse_series_pairs(), sparse_invertible_series())
+    def test_sparse_operands(self, pair, b):
+        a = TruncSeries(b.order, pair[0].coeffs)
+        assert (a * b) / b == a
+
+    def test_order_mismatch(self):
+        with pytest.raises(OrderMismatchError, match="series orders differ: 2 vs 3"):
+            TruncSeries(2, [1]) / TruncSeries(3, [1])
+
+    @pytest.mark.parametrize(
+        "head,message",
+        [
+            (2, "y^0 coefficient 2 has non-unit coefficient 2"),
+            (LaurentPoly({1: -3}), "y^0 coefficient -3x has non-unit coefficient -3"),
+            (ONE + X, "y^0 coefficient x+1 is not a monomial unit"),
+            (0, "y^0 coefficient 0 is not a monomial unit"),
+        ],
+    )
+    def test_non_unit_head_rejected(self, head, message):
+        divisor = TruncSeries(2, [head, 1])
+        for dividend in (TruncSeries(2, [1]), TruncSeries(2, [0, X])):
+            with pytest.raises(NonUnitConstantTermError, match=f"^{re.escape(message)}$"):
+                dividend / divisor
+        with pytest.raises(NonUnitConstantTermError, match=f"^{re.escape(message)}$"):
+            divisor.inverse()
+
+    def test_operands_must_be_series(self):
+        s = TruncSeries(2, [ONE, X])
+        with pytest.raises(TypeError):
+            s / 2
+        with pytest.raises(TypeError):
+            2 / s
 
 
 class TestRendering:

@@ -432,6 +432,36 @@ class TestCarriedSeries:
                 carried = step(carried)
                 assert carried == build(k), (name, k)
 
+    def test_steps_divide_no_series(self, monkeypatch):
+        """From the k = 0 bases on, each one-puncture step carries its series
+        to k = 6 with series division and inversion patched to raise, so a
+        wrong division kernel cannot pass both the routes and the steps."""
+        order, last_k = 12, 6
+        pyramidal = [combinatorics.pyramidal(last_k, i) for i in range(order + 1)]
+        stable = [poincare.stable_betti(last_k, j) for j in range(order + 1)]
+        carried = [  # (step, the k = 0 base, the public series at the last k)
+            (poincare.napolitano_step, poincare.unordered_series(0, order),
+             poincare.unordered_series(last_k, order)),
+            (verify.raw_step, virtual.getzler_series_raw(0, order),
+             virtual.getzler_series_raw(last_k, order)),
+            (verify.simplified_step, virtual.virtual_unordered_series(0, order),
+             virtual.virtual_unordered_series(last_k, order)),
+            (verify.running_sum_step, TruncSeries(order, [1, -1]).inverse(),
+             TruncSeries(order, pyramidal)),
+            (verify.running_sum_step, TruncSeries(order, [1, 1]), TruncSeries(order, stable)),
+        ]
+
+        def refused(*args):
+            raise AssertionError("a one-puncture step divided a series")
+
+        with monkeypatch.context() as m:
+            m.setattr(TruncSeries, "__truediv__", refused)
+            m.setattr(TruncSeries, "inverse", refused)
+            for step, series, public in carried:
+                for _ in range(last_k):
+                    series = step(series)
+                assert series == public, step.__name__
+
     @staticmethod
     def _count_calls(monkeypatch, module, name, wrong_call=None):
         # the arguments of every call; call number wrong_call adds 1 to the

@@ -17,7 +17,7 @@ from confpoly.virtual import (
     virtual_unordered_series,
 )
 
-from by_hand import ORDERED_CALLS, assert_inverts_factors, falling_by_hand
+from by_hand import ORDERED_CALLS, assert_divides_by_factors, falling_by_hand
 
 X2 = LaurentPoly({2: 1})
 
@@ -97,8 +97,8 @@ class TestOneInverseForms:
             assert getzler_series_raw(k, order) == numerator * denominator.inverse(), k
 
     @pytest.mark.parametrize("route", [virtual_unordered_series, getzler_series_raw])
-    def test_inverts_factors_not_products(self, monkeypatch, route):
-        assert_inverts_factors(monkeypatch, route)
+    def test_divides_by_factors(self, monkeypatch, route):
+        assert_divides_by_factors(monkeypatch, route)
 
 
 class TestVirtualUnordered:
