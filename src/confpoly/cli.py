@@ -2,7 +2,8 @@
 
 All results go to standard out and are byte-identical across repeated
 invocations; diagnostics (timing) go to standard error.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 141 standard out closed
+by its reader (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -92,7 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args.parser, args)
+    try:
+        code = args.run(args.parser, args)
+        sys.stdout.flush()  # inside the guard, so a closed pipe fails here
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so the interpreter's exit-time flush stays quiet, and exit as a
+        # shell reports a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 # -- table ------------------------------------------------------------

@@ -31,9 +31,6 @@ class DualityReport:
     matches: tuple[bool, ...]
     first_mismatch: Optional[tuple[int, LaurentPoly, LaurentPoly]]
 
-    def all_match(self) -> bool:
-        return all(self.matches)
-
 
 def undualize_series(s: TruncSeries) -> TruncSeries:
     """Undo the duality substitution coefficient by coefficient: the y^n
@@ -61,11 +58,11 @@ def _per_n(poly_of):
 # Entries look their route up in its module on every call, so replacing a
 # module attribute (a test's mutation, a tracer) is seen here too.
 FAMILIES: dict[str, Callable[[int, int], tuple[LaurentPoly, ...]]] = {
-    "standard-unordered": _per_n(lambda k, n: poincare.betti_unordered(k, n).poly()),
+    "standard-unordered": _per_n(lambda k, n: poincare.betti_unordered(k, n)),
     "standard-ordered": _per_n(lambda k, n: poincare.poincare_ordered(k, n)),
     "virtual-unordered": lambda k, order: virtual.virtual_unordered_series(k, order).coeffs,
     "virtual-unordered-raw": lambda k, order: virtual.getzler_series_raw(k, order).coeffs,
-    "virtual-ordered": _per_n(lambda k, n: virtual.virtual_ordered(k, n).poly),
+    "virtual-ordered": _per_n(lambda k, n: virtual.virtual_ordered(k, n)),
 }
 
 

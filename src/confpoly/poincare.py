@@ -14,44 +14,22 @@ are exposed so they can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import combinatorics
 from .ring import ONE, LaurentPoly, TruncSeries, X, _natural
 
 
-@dataclass(frozen=True)
-class BettiRow:
-    """Ranks of the cohomology of the unordered n-point space, degree 0..n."""
-
-    k: int
-    n: int
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        _natural("k", self.k)
-        _natural("n", self.n)
-        if len(self.ranks) != self.n + 1:
-            raise ValueError(
-                f"expected {self.n + 1} ranks for n={self.n}, got {len(self.ranks)}"
-            )
-
-    def poly(self) -> LaurentPoly:
-        """The Poincare polynomial sum(ranks[i] * x^i)."""
-        return LaurentPoly({i: r for i, r in enumerate(self.ranks)})
-
-
-def betti_unordered(k: int, n: int) -> BettiRow:
-    """Betti numbers of the unordered n-point space of the k-punctured plane.
+def betti_unordered(k: int, n: int) -> LaurentPoly:
+    """Poincare polynomial of the unordered n-point space of the k-punctured
+    plane, sum(rank H^i * x^i), from its Betti numbers:
 
     rank H^i = P(k-1, i) + P(k-1, i-1) for i < n, and P(k-1, n) at i = n.
     """
     _natural("k", k)
     _natural("n", n)
     P = combinatorics.pyramidal
-    ranks = [P(k - 1, i) + P(k - 1, i - 1) for i in range(n)]
-    ranks.append(P(k - 1, n))
-    return BettiRow(k, n, tuple(ranks))
+    ranks = {i: P(k - 1, i) + P(k - 1, i - 1) for i in range(n)}
+    ranks[n] = P(k - 1, n)
+    return LaurentPoly(ranks)
 
 
 def unordered_series(k: int, order: int) -> TruncSeries:

@@ -177,7 +177,7 @@ def suite_recursions(scope: Scope) -> Iterator[Cell]:
         yield _cell("-", 1, n, stirling_cell, n)
 
     def stable_cell(k: int, j: int, n: int) -> tuple[bool, str]:
-        rank = poincare.betti_unordered(k, n).ranks[j]
+        rank = poincare.betti_unordered(k, n).coefficient(j)
         expected = poincare.stable_betti(k, j)
         if n == j:
             expected -= combinatorics.pyramidal(k - 1, j - 1)
@@ -313,7 +313,7 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             ]
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
-            a = poincare.betti_unordered(k, n).poly()
+            a = poincare.betti_unordered(k, n)
             b, c = q_series[n], stepped[n]
             if a == b == c:
                 return True, ""
@@ -334,7 +334,7 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         for n in range(shape_max_n + 1):
             yield _cell(
                 "ordered", k, n,
-                lambda: _virtual_shape(virtual.virtual_ordered(k, n).poly, n),
+                lambda: _virtual_shape(virtual.virtual_ordered(k, n), n),
             )
             yield _cell("unordered", k, n, lambda: _virtual_shape(simplified[n], n))
             yield _cell("ordered", k, n, _ordered_shape, k, n)

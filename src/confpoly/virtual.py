@@ -17,11 +17,13 @@ Both forms are expanded independently; their agreement is a test, not a
 normalization step.  Specialized at x^2 = q these polynomials count the
 points of the corresponding varieties over a q-element field, which is
 what the ffield module verifies by brute force.
+
+Every per-(k, n) route returns a plain LaurentPoly, monic of degree 2n in
+even powers of x for these spaces; the checking suites verify that rather
+than the routes enforcing it, so a wrong value can be reported and pinpointed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ring import ONE, LaurentPoly, TruncSeries, _natural
 
@@ -34,27 +36,6 @@ def check_space(space: str) -> None:
     """Raise ValueError unless ``space`` is one of :data:`SPACES`."""
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
-
-
-@dataclass(frozen=True)
-class VirtualPoly:
-    """A virtual Poincare polynomial together with its provenance (k, n, space).
-
-    For the spaces handled here the polynomial is monic of degree 2n with
-    support on even exponents only; those facts are verified by the
-    checking suites rather than enforced at construction, so that a wrong
-    value can be carried around, reported, and pinpointed.
-    """
-
-    poly: LaurentPoly
-    k: int
-    n: int
-    space: str
-
-    def __post_init__(self):
-        check_space(self.space)
-        _natural("k", self.k)
-        _natural("n", self.n)
 
 
 # k -> (n, the product of the first n factors): the last falling-factorial
@@ -75,11 +56,11 @@ def _falling_product(k: int, n: int) -> LaurentPoly:
     return product
 
 
-def virtual_ordered(k: int, n: int) -> VirtualPoly:
+def virtual_ordered(k: int, n: int) -> LaurentPoly:
     """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), expanded."""
     _natural("k", k)
     _natural("n", n)
-    return VirtualPoly(_falling_product(k, n), k, n, "ordered")
+    return _falling_product(k, n)
 
 
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:
@@ -107,8 +88,7 @@ def getzler_series_raw(k: int, order: int) -> TruncSeries:
     return numerator * punctures / TruncSeries(order, [ONE, -_X2])
 
 
-def virtual_unordered(k: int, n: int) -> VirtualPoly:
+def virtual_unordered(k: int, n: int) -> LaurentPoly:
     """y^n coefficient of the unordered virtual series."""
     _natural("n", n)  # the series checks k
-    series = virtual_unordered_series(k, n)
-    return VirtualPoly(series[n], k, n, "unordered")
+    return virtual_unordered_series(k, n)[n]

@@ -19,7 +19,6 @@ from confpoly.poincare import (
 )
 from confpoly.ring import LaurentPoly
 from confpoly.virtual import (
-    VirtualPoly,
     getzler_series_raw,
     virtual_ordered,
     virtual_unordered,
@@ -39,10 +38,10 @@ def criterion(number, description):
 
 def test_criterion_1_worked_example():
     with criterion(1, "reproduction of the k=2, n=3 example quartet"):
-        assert str(betti_unordered(2, 3).poly()) == "4x^3+5x^2+3x+1"
+        assert str(betti_unordered(2, 3)) == "4x^3+5x^2+3x+1"
         assert str(poincare_ordered(2, 3)) == "24x^3+26x^2+9x+1"
-        assert str(virtual_unordered(2, 3).poly) == "x^6-3x^4+5x^2-4"
-        assert str(virtual_ordered(2, 3).poly) == "x^6-9x^4+26x^2-24"
+        assert str(virtual_unordered(2, 3)) == "x^6-3x^4+5x^2-4"
+        assert str(virtual_ordered(2, 3)) == "x^6-9x^4+26x^2-24"
 
 
 def test_criterion_2_pyramidal_table(capsys):
@@ -66,7 +65,7 @@ def test_criterion_3_three_way_agreement():
             for _ in range(k):
                 chain = napolitano_step(chain)
             for n in range(13):
-                closed = betti_unordered(k, n).poly()
+                closed = betti_unordered(k, n)
                 assert closed == series[n]
                 assert closed == chain[n]
 
@@ -82,7 +81,7 @@ def test_criterion_5_duality():
         for space in ("unordered", "ordered"):
             for k in range(7):
                 report = check_duality(k, 12, space)
-                assert report.all_match(), (space, k, report.first_mismatch)
+                assert all(report.matches), (space, k, report.first_mismatch)
 
 
 def test_criterion_6_stability():
@@ -91,8 +90,8 @@ def test_criterion_6_stability():
             for j in range(9):
                 stable = stable_betti(k, j)
                 for n in range(j + 1, 13):
-                    assert betti_unordered(k, n).ranks[j] == stable
-                assert betti_unordered(k, j).ranks[j] == stable - pyramidal(k - 1, j - 1)
+                    assert betti_unordered(k, n).coefficient(j) == stable
+                assert betti_unordered(k, j).coefficient(j) == stable - pyramidal(k - 1, j - 1)
 
 
 def test_criterion_7_euler_consistency():
@@ -131,9 +130,7 @@ def test_criterion_9_mutation_sensitivity(monkeypatch, capsys):
 
         def typo_virtual_ordered(k, n):
             if (k, n) == (2, 3):
-                return VirtualPoly(
-                    LaurentPoly({4: -8, 2: 26, 0: -24}), k, n, "ordered"
-                )
+                return LaurentPoly({4: -8, 2: 26, 0: -24})
             return real_vo(k, n)
 
         with monkeypatch.context() as m:
@@ -147,12 +144,8 @@ def test_criterion_9_mutation_sensitivity(monkeypatch, capsys):
         real_bu = poincare_module.betti_unordered
 
         def bumped_betti(k, n):
-            row = real_bu(k, n)
-            if (k, n) == (3, 4):
-                ranks = list(row.ranks)
-                ranks[2] += 1
-                return poincare_module.BettiRow(k, n, tuple(ranks))
-            return row
+            poly = real_bu(k, n)
+            return poly + LaurentPoly({2: 1}) if (k, n) == (3, 4) else poly
 
         with monkeypatch.context() as m:
             m.setattr(poincare_module, "betti_unordered", bumped_betti)

@@ -1,12 +1,18 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from confpoly import cli, ffield, verify
 from confpoly.ring import LaurentPoly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PYRAMIDAL_5X5 = "1,0,0,0,0\n1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,10,20,35\n"
 
@@ -303,6 +309,29 @@ def test_limit_error_names_its_flag(capsys, argv, error):
     command = " ".join(argv[:2] if argv[0] == "table" else argv[:1])
     assert captured.err.startswith(f"usage: confpoly {command} ")
     assert captured.err.splitlines()[-1] == f"confpoly {command}: error: {error}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table betti --kind virtual --space ordered -k 32 --max-n 64 --format json",
+        "verify series --max-k 16 --max-n 32",
+    ],
+)
+def test_reader_closing_the_pipe_ends_the_run_quietly(argv):
+    # each prints far more than a pipe holds, so the CLI is still writing
+    # when its reader goes away after one line, as ``| head -1`` does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confpoly.cli", *argv.split()],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 class TestDeterminism:

@@ -156,7 +156,6 @@ TRAFFIC = [
 # every function and method of src/confpoly that TRAFFIC never enters, and
 # why it stays
 KEEP = {
-    "duality.DualityReport.all_match": "acceptance criterion 5 calls it",
     "duality.undualize_series": "ROADMAP items 6 and 8: the standard side from counts",
     "ring.substitute_duality_inverse": "ROADMAP items 6 and 8, through undualize_series",
     "ffield.FieldPoly.__divmod__": "perfbench tracer target",

@@ -196,10 +196,9 @@ class TestFailureDetails:
         ids=["support", "degree", "monic"],
     )
     def test_virtual_shape(self, monkeypatch, wrong, detail):
-        def wrong_poly(v):
-            return virtual.VirtualPoly(LaurentPoly(wrong), v.k, v.n, v.space)
-
-        self._patch_at(monkeypatch, virtual, "virtual_ordered", (2, 3), wrong_poly)
+        self._patch_at(
+            monkeypatch, virtual, "virtual_ordered", (2, 3), lambda p: LaurentPoly(wrong)
+        )
         cell, got = self._first(["series"], Scope(max_k=2, max_n=3))
         assert cell == ("series", "ordered", 2, 3)
         assert got.startswith(detail)
@@ -295,12 +294,8 @@ class TestFailureNaming:
         real = poincare.betti_unordered
 
         def broken(k, n):
-            row = real(k, n)
-            if (k, n) == (2, 3):
-                ranks = list(row.ranks)
-                ranks[1] += 1
-                return poincare.BettiRow(k, n, tuple(ranks))
-            return row
+            poly = real(k, n)
+            return poly + LaurentPoly({1: 1}) if (k, n) == (2, 3) else poly
 
         monkeypatch.setattr(poincare, "betti_unordered", broken)
         summary, results = run_suites(["duality"], Scope(max_k=2, max_n=4))
