@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Callable, Optional
 
-from . import combinatorics, duality, ffield, verify, virtual
+# json and ffield, the point-count oracle, are imported by the one command
+# that needs each, so a table or series call does not load them
+from . import combinatorics, duality, verify, virtual
 
 K_LIMIT = 32
 N_LIMIT = 64
@@ -141,6 +142,8 @@ def _cmd_table_betti(parser, args) -> int:
         for n, poly in enumerate(polys):
             print(",".join(str(c) for c in coeffs(n, poly)) if standard else poly)
     elif args.format == "json":
+        import json
+
         payload = [
             {
                 "k": k,
@@ -188,6 +191,8 @@ def _format_check(c: verify.CheckResult) -> str:
 
 
 def _cmd_verify(parser, args) -> int:
+    from . import ffield
+
     suite = args.suite_pos or args.suite or "all"
     if args.suite_pos and args.suite and args.suite_pos != args.suite:
         parser.error(f"conflicting suites: {args.suite_pos} vs {args.suite}")
@@ -219,7 +224,10 @@ def _cmd_verify(parser, args) -> int:
     if summary.first_failure is not None:
         print(f"first failure: {_format_check(summary.first_failure)}")
     print(f"result: {'PASS' if summary.ok else 'FAIL'}")
-    print(f"verified in {summary.duration:.2f}s", file=sys.stderr)
+    per_suite = ", ".join(
+        f"{name} {seconds:.2f}s" for name, seconds in zip(summary.suites, summary.suite_durations)
+    )
+    print(f"verified in {summary.duration:.2f}s ({per_suite})", file=sys.stderr)
     return 0 if summary.ok else 1
 
 

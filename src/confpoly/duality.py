@@ -11,8 +11,7 @@ says which route answers each (kind, space) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import poincare, virtual
 from .ring import (
@@ -24,8 +23,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Per-n outcome of comparing transformed standard against virtual."""
 
     matches: tuple[bool, ...]
@@ -79,11 +77,12 @@ def _standard_and_virtual(k: int, max_n: int, space: str):
 
 def check_duality(k: int, max_n: int, space: str) -> DualityReport:
     """Compare the dualized standard polynomial with the virtual one for
-    every n up to max_n.  Mismatches are recorded, not raised."""
+    every n up to max_n.  Mismatches are recorded, not raised; sides of
+    different lengths raise ValueError."""
     standard, virt = _standard_and_virtual(k, max_n, space)
     matches = []
     first_mismatch = None
-    for n, (s, rhs) in enumerate(zip(standard, virt)):
+    for n, (s, rhs) in enumerate(zip(standard, virt, strict=True)):
         lhs = substitute_duality(s, n)
         ok = lhs == rhs
         matches.append(ok)
@@ -97,7 +96,10 @@ def euler_consistency(k: int, max_n: int, space: str) -> tuple[bool, ...]:
 
     Both sides compute the Euler characteristic of the same space, one
     from the alternating sum of Betti numbers, one from the virtual
-    polynomial's scissor-additive count.
+    polynomial's scissor-additive count.  Sides of different lengths raise
+    ValueError.
     """
     standard, virt = _standard_and_virtual(k, max_n, space)
-    return tuple(s.eval_int(-1) == v.eval_int(1) for s, v in zip(standard, virt))
+    return tuple(
+        s.eval_int(-1) == v.eval_int(1) for s, v in zip(standard, virt, strict=True)
+    )

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import virtual
 from .ring import _natural
@@ -94,18 +93,22 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field with q elements, q a small prime (policy: q <= 100)."""
-
+class _PrimeFieldFields(NamedTuple):
     q: int
 
-    def __post_init__(self):
-        _natural("q", self.q)
-        if not _is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-        if self.q > FIELD_SIZE_LIMIT:
-            raise ValueError(f"q={self.q} exceeds the size policy ({FIELD_SIZE_LIMIT})")
+
+class PrimeField(_PrimeFieldFields):
+    """The field with q elements, q a small prime (policy: q <= 100)."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int):
+        _natural("q", q)
+        if not _is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        if q > FIELD_SIZE_LIMIT:
+            raise ValueError(f"q={q} exceeds the size policy ({FIELD_SIZE_LIMIT})")
+        return super().__new__(cls, q)
 
 
 # The polynomial kernels work on coefficient lists mod q, lowest degree
@@ -428,20 +431,25 @@ def count_squarefree_coprime(q: int, k: int, n: int) -> int:
     return sum(table.count(_SQUAREFREE | root) for root in range(k, q + 1))
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """One enumeration-vs-formula comparison."""
-
+class _OracleReportFields(NamedTuple):
     q: int
     k: int
     n: int
     space: str
     oracle_count: int
     formula_value: int
-    agree: bool = field(init=False)
+    agree: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "agree", self.oracle_count == self.formula_value)
+
+class OracleReport(_OracleReportFields):
+    """One enumeration-vs-formula comparison; ``agree`` is derived."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, k: int, n: int, space: str, oracle_count: int, formula_value: int):
+        return super().__new__(
+            cls, q, k, n, space, oracle_count, formula_value, oracle_count == formula_value
+        )
 
 
 def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:

@@ -31,11 +31,12 @@ Suites:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import combinatorics, duality, ffield, poincare, virtual
+# ffield, the point-count oracle, is imported where it runs, so importing
+# this module (the CLI does, for SUITES) does not load it
+from . import combinatorics, duality, poincare, virtual
 from .ring import ONE, LaurentPoly, TruncSeries, _natural
 
 SUITES = ("recursions", "series", "duality", "pointcount", "euler")
@@ -43,8 +44,7 @@ SUITES = ("recursions", "series", "duality", "pointcount", "euler")
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check; space is '-' where not applicable."""
 
     suite: str
@@ -55,13 +55,16 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(NamedTuple):
+    """``suite_durations`` are the seconds each of ``suites`` took, in
+    order, and ``duration`` their sum."""
+
     suites: tuple[str, ...]
     passed: int
     failed: int
     first_failure: Optional[CheckResult]
     duration: float
+    suite_durations: tuple[float, ...]
 
     @property
     def ok(self) -> bool:
@@ -94,8 +97,15 @@ def _per_k(space: str, k: int, cells: Iterator[Cell], prefix: str = "") -> list[
         return [_crashed(space, k, -1, exc, prefix)]
 
 
-@dataclass(frozen=True)
-class Scope:
+class _ScopeFields(NamedTuple):
+    max_k: Optional[int]
+    max_n: Optional[int]
+    only_k: Optional[int]
+    spaces: tuple[str, ...]
+    primes: tuple[int, ...]
+
+
+class Scope(_ScopeFields):
     """What one run covers; every suite takes one and nothing else, so a
     new suite is one cell generator ``suite_<name>(scope)`` plus its name
     in :data:`SUITES`.
@@ -105,25 +115,31 @@ class Scope:
     ``spaces`` and of space '-'.  A scope no run can honour raises
     ValueError when made, before any suite sees it."""
 
-    max_k: Optional[int] = None
-    max_n: Optional[int] = None
-    only_k: Optional[int] = None
-    spaces: tuple[str, ...] = virtual.SPACES
-    primes: tuple[int, ...] = DEFAULT_PRIMES
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        max_k: Optional[int] = None,
+        max_n: Optional[int] = None,
+        only_k: Optional[int] = None,
+        spaces: tuple[str, ...] = virtual.SPACES,
+        primes: tuple[int, ...] = DEFAULT_PRIMES,
+    ):
+        from . import ffield
+
         # a repeat or a non-int shrinks the set
-        if not self.primes or len({q for q in self.primes if type(q) is int}) < len(self.primes):
-            raise ValueError(f"primes must be one or more distinct primes: {self.primes}")
-        for q in self.primes:
+        if not primes or len({q for q in primes if type(q) is int}) < len(primes):
+            raise ValueError(f"primes must be one or more distinct primes: {primes}")
+        for q in primes:
             ffield.PrimeField(q)  # raises for a non-prime or one past the size policy
-        if self.only_k is not None and self.max_k is not None:
+        if only_k is not None and max_k is not None:
             raise ValueError("only_k and max_k exclude each other")
-        for name in ("max_k", "max_n", "only_k"):
-            if getattr(self, name) is not None:
-                _natural(name, getattr(self, name))
-        if not self.spaces or len(set(self.spaces) & set(virtual.SPACES)) < len(self.spaces):
-            raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {self.spaces}")
+        for name, value in (("max_k", max_k), ("max_n", max_n), ("only_k", only_k)):
+            if value is not None:
+                _natural(name, value)
+        if not spaces or len(set(spaces) & set(virtual.SPACES)) < len(spaces):
+            raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {spaces}")
+        return super().__new__(cls, max_k, max_n, only_k, spaces, primes)
 
     def n(self, default: int) -> int:
         """``max_n``, or the suite's default n bound."""
@@ -398,6 +414,8 @@ POINTCOUNT_MAX_N = 5
 
 def suite_pointcount(scope: Scope) -> Iterator[Cell]:
     """k <= 3 (and k < q), n <= 5."""
+    from . import ffield
+
     max_n = scope.n(POINTCOUNT_MAX_N)
 
     def cells(q: int, k: int) -> Iterator[Cell]:
@@ -439,9 +457,10 @@ def suite_euler(scope: Scope) -> Iterator[Cell]:
 
 
 def run_suites(
-    names: Iterable[str], scope: Scope = Scope()
+    names: Iterable[str], scope: Optional[Scope] = None
 ) -> tuple[VerifySummary, list[CheckResult]]:
-    """Run the named suites (or all of them) over ``scope``; collect every check.
+    """Run the named suites (or all of them) over ``scope``, by default
+    ``Scope()``; collect every check.
 
     An unknown suite name raises ValueError, and a pointcount run past
     ``ffield.ENUMERATION_BUDGET`` raises ``ffield.TooLargeError``, both
@@ -450,13 +469,18 @@ def run_suites(
     unknown = wanted - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if scope is None:
+        scope = Scope()
 
     ran = tuple(s for s in SUITES if s in wanted or "all" in wanted)
     if "pointcount" in ran:
+        from . import ffield
+
         ffield.check_budget(scope.primes, scope.n(POINTCOUNT_MAX_N))
-    start = time.perf_counter()
     results: list[CheckResult] = []
+    suite_durations = []
     for name in ran:
+        suite_start = time.perf_counter()
         # looked up when it runs, so a replaced suite (a test's patch, a
         # tracer's wrapper) is the one that runs
         results.extend(
@@ -464,7 +488,7 @@ def run_suites(
             for space, k, n, passed, detail in globals()[f"suite_{name}"](scope)
             if space == "-" or space in scope.spaces
         )
-    duration = time.perf_counter() - start
+        suite_durations.append(time.perf_counter() - suite_start)
 
     failed = [r for r in results if not r.passed]
     summary = VerifySummary(
@@ -472,6 +496,7 @@ def run_suites(
         passed=len(results) - len(failed),
         failed=len(failed),
         first_failure=failed[0] if failed else None,
-        duration=duration,
+        duration=sum(suite_durations),
+        suite_durations=tuple(suite_durations),
     )
     return summary, results

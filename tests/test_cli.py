@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -188,6 +189,20 @@ class TestVerifyCommand:
         assert "PASS suite=duality space=ordered k=2 n=3" in lines
         assert lines[-1] == "result: PASS"
         assert "verified in" in err
+
+    @pytest.mark.parametrize(
+        "suite, ran", [("all", verify.SUITES), ("euler", ("euler",))], ids=["all", "euler"]
+    )
+    def test_timing_line_names_every_suite_that_ran(self, capsys, suite, ran):
+        argv = ["verify", suite, "--max-k", "1", "--max-n", "2", "--primes", "2"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0
+        (line,) = err.splitlines()
+        total, per_suite = line.removesuffix(")").split(" (")
+        assert re.fullmatch(r"verified in \d+\.\d\ds", total)
+        timings = [part.split(" ") for part in per_suite.split(", ")]
+        assert [name for name, _ in timings] == list(ran)
+        assert all(re.fullmatch(r"\d+\.\d\ds", seconds) for _, seconds in timings)
 
     def test_suite_flag_spelling(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
-"""The CLI traffic, run in a fresh interpreter: pinned stdout, and a guard
-that every function it never enters is kept on purpose.
+"""The CLI traffic, run in a fresh interpreter: pinned stdout, a guard
+that every function it never enters is kept on purpose, and the modules
+that each kind of call loads.
 
 Each test runs its calls in-process inside one new subprocess, so no other
 test's caches or patches can leak in, and no call pays for interpreter
@@ -143,6 +144,38 @@ print(json.dumps(digests))
     assert not changed, f"stdout or exit code changed: {changed}"
 
 
+# the modules that a table or series call must not load, and which of them
+# are loaded after each call, the calls made in this order in one process
+HEAVY = ("confpoly.ffield", "dataclasses", "json")
+FOOTPRINT = {
+    "series --family virtual-unordered -k 3 --order 4": [],
+    "table betti -k 2 --max-n 3 --format csv": [],
+    "table betti --kind virtual -k 2 --max-n 3 --format latex": [],
+    "table betti -k 2 --max-n 3 --format json": ["json"],
+    # the scope checks its primes against the oracle's field policy
+    "verify series --max-k 1 --max-n 2": ["confpoly.ffield", "json"],
+}
+
+
+def test_import_footprint():
+    # json is imported for the reply alone, after the last call, so the
+    # calls are read as a Python literal
+    script = f"import ast, sys\nHEAVY = {HEAVY!r}\n" + """
+def heavy():
+    return [name for name in HEAVY if name in sys.modules]
+""" + RUN + """
+loaded = {"import confpoly.cli": heavy()}
+for call in ast.literal_eval(sys.argv[1]):
+    assert run(call)[0] == 0, call
+    loaded[call] = heavy()
+import json
+print(json.dumps(loaded))
+"""
+    assert run_fresh(script, list(FOOTPRINT)) == {"import confpoly.cli": [], **FOOTPRINT}
+    sources = (ROOT / "src").rglob("*.py")
+    assert not [path.name for path in sources if "dataclass" in path.read_text()]
+
+
 # a small set of calls that reaches every suite, series family and table format
 TRAFFIC = [
     "verify --suite all --max-k 2 --max-n 3 --primes 2,3",
@@ -183,7 +216,7 @@ KEEP = {
 
 def test_unreached_code_is_kept_on_purpose():
     # the profiler is on before confpoly is imported, so what runs at import
-    # counts as reached; dataclass-generated methods live in no source file
+    # counts as reached; NamedTuple-generated methods live in no source file
     script = """
 import sys
 entered = set()

@@ -336,6 +336,24 @@ class TestFailureNaming:
         assert cli.main(argv) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("suite", ["duality", "euler"])
+    def test_short_route_is_one_failed_cell(self, monkeypatch, suite):
+        # a route that returns one polynomial too few at k = 2 must fail
+        # that k, not drop the cell of its missing n
+        scope = Scope(max_k=3, max_n=4)
+        summary, _ = run_suites([suite], scope)
+        assert (summary.passed, summary.failed) == (40, 0)
+        real = duality.FAMILIES["virtual-unordered"]
+        monkeypatch.setitem(
+            duality.FAMILIES, "virtual-unordered",
+            lambda k, max_n: real(k, max_n)[:-1] if k == 2 else real(k, max_n),
+        )
+        summary, results = run_suites([suite], scope)
+        failed = [r for r in results if not r.passed]
+        assert [(r.space, r.k, r.n) for r in failed] == [("unordered", 2, -1)]
+        assert failed[0].detail.startswith("ValueError: zip()")
+        assert (summary.passed, summary.failed) == (35, 1)
+
 
 class TestNapolitanoChain:
     """verify series carries one chain of napolitano_step calls from k = 0."""
