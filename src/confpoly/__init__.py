@@ -15,3 +15,9 @@ check suites) and ``confpoly.cli`` (the command line).
 """
 
 __version__ = "0.1.0"
+
+# declared here, where the CLI finds them without loading confpoly.verify;
+# verify re-exports both
+SUITES = ("recursions", "series", "duality", "pointcount", "euler")
+
+DEFAULT_PRIMES = (2, 3, 5, 7)

@@ -12,11 +12,14 @@ import argparse
 import functools
 import os
 import sys
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-# json and ffield, the point-count oracle, are imported by the one command
-# that needs each, so a table or series call does not load them
-from . import combinatorics, duality, verify, virtual
+# verify and ffield, the point-count oracle, are imported by the one
+# command that runs them, so a table or series call does not load them
+from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, virtual
+
+if TYPE_CHECKING:
+    from . import verify
 
 K_LIMIT = 32
 N_LIMIT = 64
@@ -76,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run cross-verification suites")
     ver.add_argument(
         "suite_pos", nargs="?", metavar="suite",
-        choices=("all",) + verify.SUITES, help="suite to run (default: all)",
+        choices=("all",) + SUITES, help="suite to run (default: all)",
     )
-    ver.add_argument("--suite", choices=("all",) + verify.SUITES)
+    ver.add_argument("--suite", choices=("all",) + SUITES)
     one_k = ver.add_mutually_exclusive_group()
     one_k.add_argument("-k", type=_within(0, K_LIMIT), help="restrict to a single k")
     one_k.add_argument("--max-k", type=_within(0, K_LIMIT))
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--space", choices=virtual.SPACES + ("both",), default="both")
     ver.add_argument(
         "--primes",
-        default=",".join(map(str, verify.DEFAULT_PRIMES)),
+        default=",".join(map(str, DEFAULT_PRIMES)),
         help="comma-separated primes",
     )
     ver.set_defaults(run=_cmd_verify, parser=ver)
@@ -133,27 +136,19 @@ def _cmd_table_betti(parser, args) -> int:
     k, standard = args.k, args.kind == "standard"
     polys = duality.FAMILIES[f"{args.kind}-{args.space}"](k, args.max_n)
 
-    def coeffs(n, poly):
+    def width(n):
         # standard rows list the ranks of degrees 0..n, virtual rows the
         # coefficients of x^0..x^2n
-        return [poly.coefficient(e) for e in range(n + 1 if standard else 2 * n + 1)]
+        return n + 1 if standard else 2 * n + 1
 
     if args.format == "csv":
-        for n, poly in enumerate(polys):
-            print(",".join(str(c) for c in coeffs(n, poly)) if standard else poly)
-    elif args.format == "json":
-        import json
-
-        payload = [
-            {
-                "k": k,
-                "n": n,
-                "ranks" if standard else "coeffs": [str(c) for c in coeffs(n, poly)],
-                "poly": str(poly),
-            }
+        print("\n".join(
+            ",".join(poly.decimals(width(n))) if standard else str(poly)
             for n, poly in enumerate(polys)
-        ]
-        print(json.dumps(payload, indent=2))
+        ))
+    elif args.format == "json":
+        rows = ((n, *poly.decimal_row(width(n))) for n, poly in enumerate(polys))
+        _print_json_table(k, "ranks" if standard else "coeffs", rows)
     else:
         print(r"\begin{tabular}{r|l}")
         print(r"$n$ & polynomial \\")
@@ -163,12 +158,25 @@ def _cmd_table_betti(parser, args) -> int:
     return 0
 
 
+def _print_json_table(k: int, key: str, rows: Iterable[tuple[int, list[str], str]]) -> None:
+    """Print what ``print(json.dumps(payload, indent=2))`` prints for the
+    payload ``[{"k": k, "n": n, key: cells, "poly": poly} for n, cells, poly
+    in rows]``, ``rows`` and every ``cells`` nonempty.  Each string is made
+    of digits, signs, ``x`` and ``^``, which JSON writes as they are."""
+    objects = ",\n".join(
+        f'  {{\n    "k": {k},\n    "n": {n},\n    "{key}": [\n      "'
+        + '",\n      "'.join(cells)
+        + f'"\n    ],\n    "poly": "{poly}"\n  }}'
+        for n, cells, poly in rows
+    )
+    print("[", objects, "]", sep="\n")
+
+
 # -- series -----------------------------------------------------------
 
 
 def _cmd_series(parser, args) -> int:
-    for coeff in duality.FAMILIES[args.family](args.k, args.order):
-        print(coeff)
+    print("\n".join(map(str, duality.FAMILIES[args.family](args.k, args.order))))
     return 0
 
 
@@ -182,7 +190,7 @@ def _parse_primes(parser, raw: str) -> tuple[int, ...]:
         parser.error(f"--primes must be comma-separated integers, got {raw!r}")
 
 
-def _format_check(c: verify.CheckResult) -> str:
+def _format_check(c: "verify.CheckResult") -> str:
     status = "PASS" if c.passed else "FAIL"
     line = f"{status} suite={c.suite} space={c.space} k={c.k} n={c.n}"
     if c.detail:
@@ -191,7 +199,7 @@ def _format_check(c: verify.CheckResult) -> str:
 
 
 def _cmd_verify(parser, args) -> int:
-    from . import ffield
+    from . import ffield, verify
 
     suite = args.suite_pos or args.suite or "all"
     if args.suite_pos and args.suite and args.suite_pos != args.suite:

@@ -103,12 +103,19 @@ class PrimeField(_PrimeFieldFields):
     __slots__ = ()
 
     def __new__(cls, q: int):
+        return cls._make((q,))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "PrimeField":
+        """The checked constructor: ``PrimeField(q)`` and ``_replace`` both
+        come through it."""
+        (q,) = fields
         _natural("q", q)
         if not _is_prime(q):
             raise ValueError(f"{q} is not prime")
         if q > FIELD_SIZE_LIMIT:
             raise ValueError(f"q={q} exceeds the size policy ({FIELD_SIZE_LIMIT})")
-        return super().__new__(cls, q)
+        return super()._make((q,))
 
 
 # The polynomial kernels work on coefficient lists mod q, lowest degree
@@ -431,25 +438,20 @@ def count_squarefree_coprime(q: int, k: int, n: int) -> int:
     return sum(table.count(_SQUAREFREE | root) for root in range(k, q + 1))
 
 
-class _OracleReportFields(NamedTuple):
+class OracleReport(NamedTuple):
+    """One enumeration-vs-formula comparison."""
+
     q: int
     k: int
     n: int
     space: str
     oracle_count: int
     formula_value: int
-    agree: bool
 
-
-class OracleReport(_OracleReportFields):
-    """One enumeration-vs-formula comparison; ``agree`` is derived."""
-
-    __slots__ = ()
-
-    def __new__(cls, q: int, k: int, n: int, space: str, oracle_count: int, formula_value: int):
-        return super().__new__(
-            cls, q, k, n, space, oracle_count, formula_value, oracle_count == formula_value
-        )
+    @property
+    def agree(self) -> bool:
+        """Derived, so no record (one from ``_replace`` too) contradicts it."""
+        return self.oracle_count == self.formula_value
 
 
 def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:

@@ -14,7 +14,8 @@ Two immutable ring types live here:
     and agrees with full power-series arithmetic modulo ``y^(N+1)``.  The
     truncation order is part of the value; mixing orders raises instead of
     silently re-truncating.  Division by a series with a unit y^0
-    coefficient +-x^e is exact; ``inverse`` is the quotient 1 / s.
+    coefficient +-x^e is exact; ``inverse`` is the quotient 1 / s.  A series
+    with such a unit has every integer power, negative ones too.
 
 All exponents and coefficients are Python ints (arbitrary precision), never
 floats or bools, so every comparison in the test suite is an exact equality.
@@ -70,8 +71,9 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, int] | None = None):
         self._terms = {}
         for e, c in (terms or {}).items():
-            _integer("exponent", e)
-            _integer("coefficient", c)
+            if type(e) is not int or type(c) is not int:
+                _integer("exponent", e)
+                _integer("coefficient", c)
             if c:
                 self._terms[e] = c
 
@@ -85,6 +87,22 @@ class LaurentPoly:
 
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
+
+    def decimals(self, stop: int) -> list[str]:
+        """The coefficients of x^0, x^1, ..., x^(stop - 1) in decimal, zeros
+        included."""
+        get = self._terms.get
+        return [str(get(e, 0)) for e in range(stop)]
+
+    def decimal_row(self, stop: int) -> tuple[list[str], str]:
+        """``self.decimals(stop)`` and ``str(self)``, with each coefficient
+        turned into decimal once: for large coefficients that conversion is
+        most of the rendering.  The support must lie in 0..stop - 1."""
+        cells = self.decimals(stop)
+        terms = [(e, c) for e, c in zip(range(stop - 1, -1, -1), reversed(cells)) if c != "0"]
+        if len(terms) != len(self._terms):
+            raise ValueError(f"{self!r} has a term outside x^0..x^{stop - 1}")
+        return cells, _render(terms)
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
@@ -165,26 +183,38 @@ class LaurentPoly:
         >>> str(LaurentPoly({}))
         '0'
         """
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "x" if e == 1 else f"x^{e}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if c > 0 else f"-{body}")
-        return "".join(parts)
+        terms = self._terms
+        return _render([(e, str(terms[e])) for e in sorted(terms, reverse=True)])
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
 
+
+class _PowerStrings(dict):
+    """e -> ("x^e", "x^e", "-x^e"): the power, and the whole term of a
+    coefficient 1 and of -1 (for e = 0: "", "1" and "-1").  Made on first
+    use of each exponent."""
+
+    def __missing__(self, e: int) -> tuple[str, str, str]:
+        power = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+        self[e] = strings = (power, power or "1", f"-{power or 1}")
+        return strings
+
+
+_POWERS = _PowerStrings()
+
+
+def _render(terms: list[tuple[int, str]]) -> str:
+    """The canonical text of the terms (e, decimal coefficient), nonzero and
+    in descending e: one branch per term, the powers from the cache."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        power, plus, minus = _POWERS[e]
+        parts.append(plus if c == "1" else minus if c == "-1" else c + power)
+    # a term's own "-" can follow a "+" only where two terms meet
+    return "+".join(parts).replace("+-", "-")
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
@@ -200,14 +230,45 @@ def _as_poly(value) -> LaurentPoly:
 
 
 def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """Sum of ``a * b`` over the pairs: the one loop that multiplies terms."""
+    """Sum of ``a * b`` over the pairs: the one loop that multiplies terms.
+    The operand with fewer terms is the outer loop, so the inner one is
+    started once per term of the shorter, and the first term's products
+    fill the empty sum in one comprehension."""
     out: dict[int, int] = {}
     for a, b in pairs:
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b._terms.items():
+        a, b = a._terms, b._terms
+        if len(a) > len(b):
+            a, b = b, a
+        b = b.items()
+        for e1, c1 in a.items():
+            if not out:
+                out = {e1 + e2: c1 * c2 for e2, c2 in b}
+                continue
+            for e2, c2 in b:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
     return LaurentPoly._make({e: c for e, c in out.items() if c})
+
+
+def _unit_inverse(head: LaurentPoly) -> LaurentPoly:
+    """The inverse +-x^-e of a y^0 coefficient +-x^e, the only units over
+    the integers; :class:`NonUnitConstantTermError` for any other."""
+    if len(head._terms) != 1:
+        raise NonUnitConstantTermError(f"y^0 coefficient {head} is not a monomial unit")
+    ((e, c),) = head._terms.items()
+    if c not in (1, -1):
+        raise NonUnitConstantTermError(
+            f"y^0 coefficient {head} has non-unit coefficient {c}"
+        )
+    return LaurentPoly._make({-e: c})
+
+
+def _exact_quotient(p: LaurentPoly, m: int) -> LaurentPoly:
+    """``p / m``, whose coefficients must all be multiples of m: a remainder
+    means the power recurrence is wrong, so it raises, never rounds."""
+    if any(c % m for c in p._terms.values()):
+        raise ArithmeticError(f"{p} is not divisible by {m}")
+    return LaurentPoly._make({e: c // m for e, c in p._terms.items()})
 
 
 def _nonzero(coeffs: tuple[LaurentPoly, ...]) -> list[tuple[int, LaurentPoly]]:
@@ -316,17 +377,37 @@ class TruncSeries:
         return TruncSeries(self._order, [_dot(ps) for ps in pairs])
 
     def __pow__(self, n: int) -> "TruncSeries":
+        """``self`` to the integer power n modulo y^(N+1), negative n too.
+
+        The y^0 coefficient f_0 must be a unit +-x^e, as for division;
+        otherwise :class:`NonUnitConstantTermError` is raised.  J.C.P.
+        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) follows from
+        f * q' = n * f' * q for q = f^n:
+
+            m * f_0 * q_m = sum over i = 1..min(m, d) of ((n + 1) i - m) f_i q_(m-i),
+
+        with q_0 = f_0^n, over the nonzero f_i alone.  So a power costs at
+        most d products per coefficient, for d nonzero f_i past the first,
+        whatever n is, and no series is divided.
+        """
         _integer("n", n)
-        if n < 0:
-            raise ValueError("negative series powers: invert first")
-        result, base = TruncSeries(self._order, [ONE]), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        unit = _unit_inverse(self._coeffs[0])
+        ((e0, c0),) = self._coeffs[0]._terms.items()
+        # the terms of unit * f_i are made once; the weight (n + 1) i - m
+        # scales them per m
+        g = [(i, (unit * p)._terms.items()) for i, p in _nonzero(self._coeffs)[1:]]
+        out = [LaurentPoly._make({e0 * n: c0 if n % 2 else 1})]
+        for m in range(1, self._order + 1):
+            pairs = []
+            for i, terms in g:
+                if i > m:
+                    break
+                w = (n + 1) * i - m
+                if w:
+                    weighted = LaurentPoly._make({e: w * c for e, c in terms})
+                    pairs.append((weighted, out[m - i]))
+            out.append(_exact_quotient(_dot(pairs), m))
+        return TruncSeries(self._order, out)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         """The exact quotient modulo y^(N+1): the series q with q * other == self.
@@ -338,17 +419,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        b0 = other._coeffs[0]
-        if len(b0._terms) != 1:
-            raise NonUnitConstantTermError(
-                f"y^0 coefficient {b0} is not a monomial unit"
-            )
-        ((e, c),) = b0._terms.items()
-        if c not in (1, -1):
-            raise NonUnitConstantTermError(
-                f"y^0 coefficient {b0} has non-unit coefficient {c}"
-            )
-        unit = LaurentPoly._make({-e: c})
+        unit = _unit_inverse(other._coeffs[0])
         # q_m = unit * (s_m - t_1 q_(m-1) - ... - t_m q_0) over the nonzero t_i
         # alone, with -unit * t_i made once, so a divisor of degree d costs
         # at most d + 1 products per coefficient, in one _dot

@@ -35,13 +35,10 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # ffield, the point-count oracle, is imported where it runs, so importing
-# this module (the CLI does, for SUITES) does not load it
-from . import combinatorics, duality, poincare, virtual
+# this module does not load it.  SUITES and DEFAULT_PRIMES are declared in
+# the package, where the CLI reads them without loading this module.
+from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, poincare, virtual
 from .ring import ONE, LaurentPoly, TruncSeries, _natural
-
-SUITES = ("recursions", "series", "duality", "pointcount", "euler")
-
-DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
 class CheckResult(NamedTuple):
@@ -125,8 +122,15 @@ class Scope(_ScopeFields):
         spaces: tuple[str, ...] = virtual.SPACES,
         primes: tuple[int, ...] = DEFAULT_PRIMES,
     ):
+        return cls._make((max_k, max_n, only_k, spaces, primes))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Scope":
+        """The checked constructor: ``Scope(...)`` and ``_replace`` both
+        come through it."""
         from . import ffield
 
+        max_k, max_n, only_k, spaces, primes = fields
         # a repeat or a non-int shrinks the set
         if not primes or len({q for q in primes if type(q) is int}) < len(primes):
             raise ValueError(f"primes must be one or more distinct primes: {primes}")
@@ -139,7 +143,7 @@ class Scope(_ScopeFields):
                 _natural(name, value)
         if not spaces or len(set(spaces) & set(virtual.SPACES)) < len(spaces):
             raise ValueError(f"spaces must be one or more of {virtual.SPACES}: {spaces}")
-        return super().__new__(cls, max_k, max_n, only_k, spaces, primes)
+        return super()._make((max_k, max_n, only_k, spaces, primes))
 
     def n(self, default: int) -> int:
         """``max_n``, or the suite's default n bound."""

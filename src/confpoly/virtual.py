@@ -66,25 +66,25 @@ def virtual_ordered(k: int, n: int) -> LaurentPoly:
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:
     """(1 - y^2*x^2) / ((1 - y*x^2)(1 + y)^k) truncated at y^order.
 
-    The numerator is divided by one factor at a time, (1 + y)^k and then
-    1 - y*x^2, each with one-term coefficients.
+    The numerator is multiplied by the integer power (1 + y)^(-k), and the
+    product divided by 1 - y*x^2, whose coefficients have one term each.
     """
     _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, -_X2])
-    return numerator / TruncSeries(order, [ONE, 1]) ** k / TruncSeries(order, [ONE, -_X2])
+    return numerator * TruncSeries(order, [ONE, 1]) ** -k / TruncSeries(order, [ONE, -_X2])
 
 
 def getzler_series_raw(k: int, order: int) -> TruncSeries:
     """The unsimplified form (1 - y^2*x^2)(1 - y)^k / ((1 - y*x^2)(1 - y^2)^k).
 
-    The integer series (1 - y)^k / (1 - y^2)^k is made first, by one
-    division; the numerator times it is then divided by 1 - y*x^2.  Must
-    agree with :func:`virtual_unordered_series` coefficient by coefficient;
-    the equality is exercised by the verification suites.
+    The numerator is multiplied by the integer powers (1 - y)^k and
+    (1 - y^2)^(-k), and the product divided by 1 - y*x^2.  Must agree with
+    :func:`virtual_unordered_series` coefficient by coefficient; the
+    equality is exercised by the verification suites.
     """
     _natural("k", k)  # TruncSeries checks order
-    punctures = TruncSeries(order, [ONE, -1]) ** k / TruncSeries(order, [ONE, 0, -1]) ** k
     numerator = TruncSeries(order, [ONE, 0, -_X2])
+    punctures = TruncSeries(order, [ONE, -1]) ** k * TruncSeries(order, [ONE, 0, -1]) ** -k
     return numerator * punctures / TruncSeries(order, [ONE, -_X2])
 
 

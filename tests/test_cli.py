@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from confpoly import cli, ffield, verify
+from confpoly import cli, duality, ffield, verify
 from confpoly.ring import LaurentPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +76,30 @@ class TestTableBetti:
         assert rows[-1] == {
             "k": 2, "n": 3, "ranks": ["1", "3", "5", "4"], "poly": "4x^3+5x^2+3x+1",
         }
+
+    @pytest.mark.parametrize("k, max_n", [(0, 0), (3, 5), (17, 40)])
+    @pytest.mark.parametrize("space", ["unordered", "ordered"])
+    @pytest.mark.parametrize("kind", ["standard", "virtual"])
+    def test_json_bytes_are_json_dumps(self, capsys, kind, space, k, max_n):
+        # the CLI writes the table itself; json's own encoder is the reference
+        polys = duality.FAMILIES[f"{kind}-{space}"](k, max_n)
+        width = (lambda n: n + 1) if kind == "standard" else (lambda n: 2 * n + 1)
+        payload = [
+            {
+                "k": k,
+                "n": n,
+                "ranks" if kind == "standard" else "coeffs":
+                    [str(poly.coefficient(e)) for e in range(width(n))],
+                "poly": str(poly),
+            }
+            for n, poly in enumerate(polys)
+        ]
+        _, out, _ = run_cli(
+            capsys,
+            ["table", "betti", "--space", space, "--kind", kind,
+             "-k", str(k), "--max-n", str(max_n), "--format", "json"],
+        )
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_json_round_trip_standard(self, capsys):
         _, out, _ = run_cli(

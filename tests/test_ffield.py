@@ -132,6 +132,13 @@ class TestPrimeField:
         with pytest.raises(ValueError, match="q must be a nonnegative int"):
             PrimeField(q)
 
+    def test_replace_and_make_are_checked(self):
+        assert PrimeField(3)._replace(q=5) == PrimeField._make([5]) == PrimeField(5)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            PrimeField(3)._replace(q=4)
+        with pytest.raises(ValueError, match="size policy"):
+            PrimeField._make([101])
+
 
 class TestFieldPoly:
     def test_normalization(self):
@@ -498,6 +505,9 @@ class TestOracleCheck:
         assert r.agree
         r = OracleReport(5, 2, 3, "ordered", 6, 7)
         assert not r.agree
+        assert r._replace(oracle_count=7).agree
+        assert not r._replace(formula_value=7)._replace(oracle_count=8).agree
+        assert OracleReport._make([3, 1, 2, "unordered", 5, 5]).agree
 
     def test_one_unordered_series_per_call(self, monkeypatch):
         calls = []

@@ -297,6 +297,32 @@ class TestSeriesInv:
         assert (a**k).inverse() == a.inverse() ** k
 
 
+class TestSeriesPow:
+    @given(invertible_series | sparse_invertible_series(), st.integers(-6, 6))
+    def test_power_laws(self, s, n):
+        one = TruncSeries(s.order, [1])
+        assert s**n * s**-n == one
+        assert s ** (n + 1) == s**n * s
+        assert s**-1 == s.inverse()
+
+    def test_binomial_powers(self):
+        assert TruncSeries(4, [1, 1]) ** 3 == TruncSeries(4, [1, 3, 3, 1])
+        assert TruncSeries(4, [1, 1]) ** -2 == TruncSeries(4, [1, -2, 3, -4, 5])
+        assert TruncSeries(4, [ONE, -X]) ** 0 == TruncSeries(4, [1])
+
+    def test_inexact_step_raises(self):
+        # a wrong recurrence shows as a remainder, never as a rounded quotient
+        assert ring._exact_quotient(LaurentPoly({0: 6, 2: -4}), 2) == LaurentPoly({0: 3, 2: -2})
+        with pytest.raises(ArithmeticError, match="not divisible by 2"):
+            ring._exact_quotient(LaurentPoly({0: 6, 2: -3}), 2)
+
+    @pytest.mark.parametrize("head", [2, ONE + X, 0], ids=["2", "1+x", "0"])
+    @pytest.mark.parametrize("n", [-1, 0, 3])
+    def test_non_unit_head_rejected(self, head, n):
+        with pytest.raises(NonUnitConstantTermError):
+            TruncSeries(2, [head, 1]) ** n
+
+
 class TestSeriesDiv:
     @given(series, invertible_series | shifted_series)
     def test_product_divided_by_factor(self, a, b):
@@ -360,6 +386,27 @@ class TestRendering:
     )
     def test_canonical_form(self, terms, expected):
         assert str(P(terms)) == expected
+
+    @given(polys)
+    def test_matches_rendering_term_by_term(self, p):
+        text = ""
+        for e in sorted(p.support(), reverse=True):
+            c = p.coefficient(e)
+            body = str(abs(c)) if e == 0 or abs(c) != 1 else ""
+            body += "" if e == 0 else "x" if e == 1 else f"x^{e}"
+            text += ("-" if c < 0 else "+" if text else "") + body
+        assert str(p) == (text or "0")
+
+    @given(polys_nonneg, st.integers(min_value=0, max_value=3))
+    def test_decimal_row_is_decimals_and_str(self, p, extra):
+        stop = (p.degree() + 1 if p else 0) + extra
+        assert p.decimals(stop) == [str(p.coefficient(e)) for e in range(stop)]
+        assert p.decimal_row(stop) == (p.decimals(stop), str(p))
+
+    @pytest.mark.parametrize("terms, stop", [({3: 1}, 3), ({-1: 2, 0: 1}, 2)])
+    def test_decimal_row_needs_the_whole_support(self, terms, stop):
+        with pytest.raises(ValueError, match="has a term outside"):
+            P(terms).decimal_row(stop)
 
     def test_zero_degree_undefined(self):
         with pytest.raises(ValueError):

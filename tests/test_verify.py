@@ -109,7 +109,8 @@ class TestRunSuites:
 
 
 class TestScope:
-    """A scope no run can honour is refused when made, before any suite runs."""
+    """A scope no run can honour is refused when made, by ``_replace`` too,
+    before any suite runs."""
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -148,6 +149,8 @@ class TestScope:
             )
         with pytest.raises(ValueError, match=message):
             run_suites(["all"], Scope(**fields))
+        with pytest.raises(ValueError, match=message):
+            Scope()._replace(**fields)
         assert ran == []
         run_suites(["all"], Scope(max_k=1, max_n=1, primes=(2,)))
         assert ran == list(SUITES)
@@ -447,8 +450,9 @@ class TestCarriedSeries:
 
     def test_steps_divide_no_series(self, monkeypatch):
         """From the k = 0 bases on, each one-puncture step carries its series
-        to k = 6 with series division and inversion patched to raise, so a
-        wrong division kernel cannot pass both the routes and the steps."""
+        to k = 6 with series division, inversion and powers patched to raise,
+        so a wrong division or power kernel cannot pass both the routes and
+        the steps."""
         order, last_k = 12, 6
         pyramidal = [combinatorics.pyramidal(last_k, i) for i in range(order + 1)]
         stable = [poincare.stable_betti(last_k, j) for j in range(order + 1)]
@@ -465,11 +469,12 @@ class TestCarriedSeries:
         ]
 
         def refused(*args):
-            raise AssertionError("a one-puncture step divided a series")
+            raise AssertionError("a one-puncture step divided or powered a series")
 
         with monkeypatch.context() as m:
             m.setattr(TruncSeries, "__truediv__", refused)
             m.setattr(TruncSeries, "inverse", refused)
+            m.setattr(TruncSeries, "__pow__", refused)
             for step, series, public in carried:
                 for _ in range(last_k):
                     series = step(series)
