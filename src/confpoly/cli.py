@@ -119,16 +119,12 @@ def _cmd_table_pyramidal(parser, args) -> int:
         for row in rows:
             print(",".join(str(v) for v in row))
     else:
-        cols = "c|" + "c" * (args.max_i + 1)
-        print(rf"\begin{{tabular}}{{{cols}}}")
-        header = " & ".join(str(i) for i in range(args.max_i + 1))
-        print(rf"$k \backslash i$ & {header} \\")
-        print(r"\midrule")
-        body = []
-        for k, row in zip(range(-1, args.max_k + 1), rows):
-            body.append(f"{k} & " + " & ".join(str(v) for v in row))
-        print(" \\\\\n".join(body))
-        print(r"\end{tabular}")
+        _print_latex_table(
+            "c|" + "c" * (args.max_i + 1),
+            r"$k \backslash i$ & " + " & ".join(str(i) for i in range(args.max_i + 1)),
+            (f"{k} & " + " & ".join(str(v) for v in row)
+             for k, row in zip(range(-1, args.max_k + 1), rows)),
+        )
     return 0
 
 
@@ -150,12 +146,18 @@ def _cmd_table_betti(parser, args) -> int:
         rows = ((n, *poly.decimal_row(width(n))) for n, poly in enumerate(polys))
         _print_json_table(k, "ranks" if standard else "coeffs", rows)
     else:
-        print(r"\begin{tabular}{r|l}")
-        print(r"$n$ & polynomial \\")
-        print(r"\midrule")
-        print(" \\\\\n".join(f"{n} & ${poly}$" for n, poly in enumerate(polys)))
-        print(r"\end{tabular}")
+        _print_latex_table(
+            "r|l", "$n$ & polynomial", (f"{n} & ${poly}$" for n, poly in enumerate(polys))
+        )
     return 0
+
+
+def _print_latex_table(cols: str, header: str, rows: Iterable[str]) -> None:
+    """Print a LaTeX tabular: column spec, header row, a rule, the rows."""
+    print(
+        rf"\begin{{tabular}}{{{cols}}}", rf"{header} \\", r"\midrule",
+        " \\\\\n".join(rows), r"\end{tabular}", sep="\n",
+    )
 
 
 def _print_json_table(k: int, key: str, rows: Iterable[tuple[int, list[str], str]]) -> None:

@@ -65,20 +65,29 @@ class TooLargeError(ValueError):
     """The requested enumeration exceeds the tuple budget."""
 
 
+def _tuples(q: int, n: int) -> int:
+    """q^n, or one past the budget where n alone puts q^n over it: q >= 2,
+    and 2^n is over from n = ENUMERATION_BUDGET.bit_length() (21) on.  So a
+    huge n is refused without building q^n."""
+    return q**n if n < ENUMERATION_BUDGET.bit_length() else ENUMERATION_BUDGET + 1
+
+
 def check_budget(primes: Iterable[int], max_n: int) -> None:
     """Raise TooLargeError if enumerating the q^n monic polynomials (and as
-    many n-tuples) of each prime q and each n <= max_n passes the budget."""
+    many n-tuples) of each prime q and each n <= max_n passes the budget.
+    The sum stops at the first partial sum past the budget."""
     _natural("max_n", max_n)
-    size = sum(q**n for q in primes for n in range(max_n + 1))
-    if size > ENUMERATION_BUDGET:
+    sizes = itertools.accumulate(_tuples(q, n) for q in primes for n in range(max_n + 1))
+    size = next((size for size in sizes if size > ENUMERATION_BUDGET), None)
+    if size is not None:
         raise TooLargeError(
-            f"pointcount would enumerate {size} polynomials, over the budget "
-            f"of {ENUMERATION_BUDGET}"
+            f"pointcount would enumerate at least {size} polynomials, over the "
+            f"budget of {ENUMERATION_BUDGET}"
         )
 
 
 def _check_size(q: int, n: int) -> None:
-    if q**n > ENUMERATION_BUDGET:
+    if _tuples(q, n) > ENUMERATION_BUDGET:
         raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
 
 
@@ -275,7 +284,6 @@ def _square_multiples(q: int, n: int) -> Iterator[int]:
                 yield index
 
 
-@cache
 def _square_sieve(q: int, n: int) -> bytes:
     """Byte i is 1 if the i-th monic degree-n polynomial is a multiple of a
     square, 0 if it is squarefree.  Built by multiplying coefficient lists,
@@ -389,7 +397,7 @@ def _tuple_minima(q: int, n: int) -> tuple[int, ...]:
 def clear_caches() -> None:
     """Forget every per-(q, n) table, so the next count enumerates afresh
     (needed after patching a function the tables are built from)."""
-    for table in (_square_sieve, _polynomial_table, _tuple_minima):
+    for table in (_polynomial_table, _tuple_minima):
         table.cache_clear()
 
 

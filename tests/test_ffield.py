@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import itertools
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from confpoly.ffield import (
     oracle_check,
     squarefree_disagreements,
 )
+from confpoly.verify import Scope, run_suites
 
 from by_hand import field_product_by_hand
 
@@ -473,6 +475,23 @@ class TestCounts:
             count_squarefree_coprime(97, 0, 5)
         with pytest.raises(TooLargeError):
             squarefree_disagreements(97, 5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_squarefree_coprime(7, 0, 10**7),
+            lambda: ffield.check_budget((2, 3, 5, 7), 8000),
+            lambda: run_suites(["pointcount"], Scope(max_n=8000)),
+        ],
+        ids=["huge-n", "huge-max-n", "huge-max-n-run"],
+    )
+    def test_budget_refuses_a_huge_n_at_once(self, call):
+        # q >= 2, so n past the budget's bits is over it without building q^n,
+        # and the run's sum stops at its first partial sum past the budget
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            call()
+        assert time.perf_counter() - start < 0.1
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -558,6 +558,36 @@ class TestCarriedSeries:
         f = summary.first_failure
         assert (f.space, f.k, f.n, f.detail) == ("unordered", 6, 2, detail)
 
+    # what raises, when (the number of the call and its arguments), and the
+    # first k that fails: a step raises from k = 3 on (running_sum_step is
+    # called twice per k), the raw base at k = 0 on every try
+    @pytest.mark.parametrize(
+        "module, name, crashes, first_k",
+        [
+            (verify, "raw_step", lambda call, args: call > 2, 3),
+            (verify, "running_sum_step", lambda call, args: call > 2 * 2, 3),
+            (virtual, "getzler_series_raw", lambda call, args: args[0] == 0, 0),
+        ],
+        ids=["raw-step", "running-sum-step", "raw-base"],
+    )
+    def test_crash_in_carried_state_is_one_failed_cell_per_k(
+        self, monkeypatch, module, name, crashes, first_k
+    ):
+        real, calls = getattr(module, name), []
+
+        def crashing(*args):
+            calls.append(args)
+            if crashes(len(calls), args):
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, crashing)
+        _, results = run_suites(["series"], Scope(max_k=6, max_n=6))
+        failed = [r for r in results if not r.passed]
+        assert [(r.space, r.k, r.n) for r in failed] == [("-", k, -1) for k in range(first_k, 7)]
+        assert all(r.detail == "RuntimeError: boom" for r in failed)
+        assert {r.k for r in results if r.passed} == set(range(first_k))
+
 
 def test_recursions_build_no_unordered_cell_under_ordered(monkeypatch, capsys):
     # the stabilization cells are unordered ones: under --space ordered the
