@@ -52,11 +52,12 @@ def _per_n(poly_of):
 
 # Every (kind, space) route, keyed by the CLI family names.  Each entry maps
 # (k, max_n) to the polynomials for n = 0..max_n; the series entries expand
-# once per k, since coefficient n does not depend on the truncation order.
+# once per k, since coefficient n does not depend on the truncation order,
+# and the standard unordered table reads one pyramidal row per k.
 # Entries look their route up in its module on every call, so replacing a
 # module attribute (a test's mutation, a tracer) is seen here too.
 FAMILIES: dict[str, Callable[[int, int], tuple[LaurentPoly, ...]]] = {
-    "standard-unordered": _per_n(lambda k, n: poincare.betti_unordered(k, n)),
+    "standard-unordered": lambda k, max_n: poincare.betti_unordered_table(k, max_n),
     "standard-ordered": _per_n(lambda k, n: poincare.poincare_ordered(k, n)),
     "virtual-unordered": lambda k, order: virtual.virtual_unordered_series(k, order).coeffs,
     "virtual-unordered-raw": lambda k, order: virtual.getzler_series_raw(k, order).coeffs,

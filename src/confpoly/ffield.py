@@ -2,12 +2,13 @@
 
 This is the independent oracle for the virtual polynomials: specialized
 at x^2 = q they must count the points of the configuration varieties over
-the q-element field.  The ordered count enumerates all n-tuples of field
-elements and keeps those with pairwise-distinct entries avoiding the
-punctures.  The unordered count enumerates monic degree-n polynomials and
-keeps the squarefree ones coprime to the puncture divisor: the points of
-the unordered variety over the field are Galois-stable configurations,
-i.e. exactly such polynomials, not merely n-subsets of rational points.
+the q-element field.  The ordered count enumerates the n-tuples of
+pairwise-distinct field elements, each once as an n-permutation of the
+field, and keeps those avoiding the punctures.  The unordered count
+enumerates monic degree-n polynomials and keeps the squarefree ones
+coprime to the puncture divisor: the points of the unordered variety over
+the field are Galois-stable configurations, i.e. exactly such
+polynomials, not merely n-subsets of rational points.
 Punctures sit at {0, 1, ..., k-1}; any k distinct rational points would
 give the same counts, and fixing them keeps runs reproducible.
 
@@ -22,10 +23,12 @@ gcd verdicts come q at a time: the polynomials c + h that differ only in
 the constant term c share the derivative h' and, when h' is not constant,
 the first remainder h mod h' of Euclid's algorithm, so each group costs
 one derivative and one division, and each polynomial only the steps after
-the first.  Squarefreeness is kept by the translations x -> x + a, so one
-group's verdicts decide its whole orbit of up to q groups: a Taylor shift
+the first.  Squarefreeness is kept by the affine maps x -> u*x + a
+(u != 0), with f -> u^(-n) * f(u*x + a) monic again, so one group's
+verdicts decide its whole orbit of up to q(q - 1) groups: a Taylor shift
 ``_shifted`` finds each translate, whose verdicts are the group's rotated
-by its constant term.  All of it runs on coefficient lists, with one
+by its constant term, and each scaling x -> u*x of a translate permutes
+them once more.  All of it runs on coefficient lists, with one
 long-division kernel ``_divide`` that ``is_squarefree`` uses too.
 
 The gcd squarefree test is cross-checked by a second, independent one: a
@@ -51,11 +54,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import virtual
 from .ring import _natural
 
-# q^n per enumeration, and summed over a pointcount run: about 4 s of work
-# (`verify pointcount --max-n 7`, 1 061 991 polynomials: 3.2-5.2 s).
-# A degree-7 polynomial over F_7 costs ~3 us in its table, nearly all of it
-# the gcd verdicts (one group run per translation orbit), and ~1.3 us more in
-# the square sieve and the tuple count (Python 3.11, 2-core x86-64)
+# q^n per enumeration, and summed over a pointcount run: about 2 s of work
+# (`verify pointcount --max-n 7`, 1 061 991 polynomials: 1.9-2.8 s).
+# A degree-7 polynomial over F_7 costs ~1 us in its table (one group run
+# per orbit under x -> u*x + a, the smallest roots and the orbit walk) and
+# ~0.6 us more in the square sieve; the tuple count visits only the q!/(q-n)!
+# injective tuples, 5 040 for (7, 7) (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
 
 FIELD_SIZE_LIMIT = 100
@@ -73,9 +77,9 @@ def _tuples(q: int, n: int) -> int:
 
 
 def check_budget(primes: Iterable[int], max_n: int) -> None:
-    """Raise TooLargeError if enumerating the q^n monic polynomials (and as
-    many n-tuples) of each prime q and each n <= max_n passes the budget.
-    The sum stops at the first partial sum past the budget."""
+    """Raise TooLargeError if enumerating the q^n monic polynomials (and at
+    most as many n-tuples) of each prime q and each n <= max_n passes the
+    budget.  The sum stops at the first partial sum past the budget."""
     _natural("max_n", max_n)
     sizes = itertools.accumulate(_tuples(q, n) for q in primes for n in range(max_n + 1))
     size = next((size for size in sizes if size > ENUMERATION_BUDGET), None)
@@ -355,17 +359,35 @@ def _polynomial_table(q: int, n: int) -> bytes:
     The verdicts come one group at a time: the q polynomials c + h that
     differ only in the constant term sit q^(n-1) apart, at j, j + q^(n-1),
     ..., for h the j-th monic polynomial of degree n with zero constant
-    term.  Squarefreeness is kept by the translations x -> x + a, so one
-    :func:`_squarefree_group` run decides a whole orbit of groups: with
-    g = h(x + a) and s = g(0), the group of g - s has verdict c where the
-    representative has c - s.  Groups are taken in index order, and each
-    is written once, by the first representative that reaches it; a group
-    a translate of h maps to itself keeps the verdicts it got first."""
+    term.  Squarefreeness is kept by every x -> u*x + a (u != 0), with the
+    image f -> u^(-n) * f(u*x + a) monic again, so one
+    :func:`_squarefree_group` run decides a whole orbit of groups:
+    - a translate g = h(x + a), with s = g(0), sends c + h to
+      c + g = (c + s) + (g - s), so the group of g - s has verdict c where
+      h's group has c - s;
+    - a scaling x -> u*x multiplies coefficient m of g - s by u^(m-n), and
+      the image's verdict c is that of g - s at c * u^n.
+    Groups are taken in index order, and each is written once, by the first
+    image that reaches it; a group some map sends to itself keeps the
+    verdicts it got first."""
     if n == 0:
         flags = bytearray([_SQUAREFREE])  # the constant 1
     else:
         stride = q ** (n - 1)
         flags, done = bytearray(q**n), bytearray(stride)
+        # per scaling x -> u*x (u = 1 first): per coefficient m = 1..n-1 of a
+        # group and per value, what it adds to the index of the image; and
+        # per image constant c, the constant c * u^n whose verdict it reads
+        scalings = [
+            (
+                [
+                    [(c * pow(u, m - n, q)) % q * q ** (n - 1 - m) for c in range(q)]
+                    for m in range(1, n)
+                ],
+                [(c * pow(u, n, q)) % q for c in range(q)],
+            )
+            for u in range(1, q)
+        ]
         for j, high in enumerate(itertools.product(range(q), repeat=n - 1)):
             if done[j]:
                 continue
@@ -373,24 +395,25 @@ def _polynomial_table(q: int, n: int) -> bytes:
             verdicts = _squarefree_group(h, q)
             for a in range(q):
                 g = _shifted(h, a, q)
-                i = 0
-                for c in g[1:-1]:
-                    i = i * q + c
-                if not done[i]:
-                    s = g[0]  # entry c is verdicts[c - s]; s = 0 slices to verdicts
-                    flags[i::stride] = verdicts[-s:] + verdicts[:-s]
-                    done[i] = 1
+                low, s = g[1:-1], g[0]
+                # entry c is verdicts[c - s]; s = 0 slices to verdicts
+                rotated = verdicts[-s:] + verdicts[:-s]
+                for places, reads in scalings:
+                    i = sum(map(list.__getitem__, places, low))
+                    if not done[i]:
+                        flags[i::stride] = bytes(map(rotated.__getitem__, reads))
+                        done[i] = 1
     return bytes(map(operator.or_, _smallest_roots(q, n), flags))
 
 
 @cache
 def _tuple_minima(q: int, n: int) -> tuple[int, ...]:
     """Entry m counts the n-tuples of pairwise-distinct field elements whose
-    smallest entry is m; entry q counts the empty tuple."""
+    smallest entry is m; entry q counts the empty tuple.  Only the injective
+    tuples are enumerated, each once, as the n-permutations of the field."""
     counts = [0] * (q + 1)
-    for tup in itertools.product(range(q), repeat=n):
-        if len(set(tup)) == n:
-            counts[min(tup, default=q)] += 1
+    for tup in itertools.permutations(range(q), n):
+        counts[min(tup, default=q)] += 1
     return tuple(counts)
 
 
@@ -432,7 +455,8 @@ def _check_enumeration_args(q: int, k: int, n: int, n_name: str = "n") -> None:
 
 def count_ordered_configs(q: int, k: int, n: int) -> int:
     """Number of n-tuples of pairwise-distinct field elements avoiding the
-    punctures {0, ..., k-1}, by exhaustive enumeration of all q^n tuples."""
+    punctures {0, ..., k-1}, by exhaustive enumeration of the
+    pairwise-distinct tuples, each visited once."""
     _check_enumeration_args(q, k, n)
     return sum(_tuple_minima(q, n)[k:])
 

@@ -32,6 +32,20 @@ def betti_unordered(k: int, n: int) -> LaurentPoly:
     return LaurentPoly(ranks)
 
 
+def betti_unordered_table(k: int, max_n: int) -> tuple[LaurentPoly, ...]:
+    """:func:`betti_unordered` for n = 0..max_n, from the one row
+    P(k-1, 0..max_n): rank H^i for i < n does not depend on n."""
+    _natural("k", k)
+    _natural("max_n", max_n)
+    row = [combinatorics.pyramidal(k - 1, i) for i in range(max_n + 1)]
+    stable: dict[int, int] = {}
+    table = []
+    for n, top in enumerate(row):
+        table.append(LaurentPoly({**stable, n: top}))
+        stable[n] = top + row[n - 1] if n else top
+    return tuple(table)
+
+
 def unordered_series(k: int, order: int) -> TruncSeries:
     """(1 + x*y^2) / ((1 - y)(1 - x*y)^k) truncated at y^order.
 

@@ -116,7 +116,7 @@ class TestFamilies:
     @pytest.mark.parametrize(
         "family, module, name",
         [
-            ("standard-unordered", poincare_module, "betti_unordered"),
+            ("standard-unordered", poincare_module, "betti_unordered_table"),
             ("standard-ordered", poincare_module, "poincare_ordered"),
             ("virtual-unordered", virtual_module, "virtual_unordered_series"),
             ("virtual-unordered-raw", virtual_module, "getzler_series_raw"),

@@ -93,6 +93,16 @@ POLYNOMIAL_TABLE_SHA256 = {
     (7, 5): "1a404a0627b338bb12e2789c16bb6c3018c28ba98e623461d3037c8b383a1ec1",
 }
 
+# SHA-256 of _polynomial_table(q, 6), as the walk over translation orbits
+# built them: groups fixed by a translate (p | 6 for p = 2, 3) and scalings
+# x -> u*x that act as the identity ((q - 1) | 6 for q = 2, 3, 7)
+DEGREE_6_TABLE_SHA256 = {
+    2: "69af3169b97c72bcfb76e185a225c1cdc5e34ab566144b7a2a3ad16e0b0932f0",
+    3: "a9a58f02b6354b868f6c3e73f0836cb4ce602cc8b6b61860b3309a487551034b",
+    5: "1cbda62163810faab9edb1b022a780c9d7ad6f2ef1a0c051d1939960f85ac6d3",
+    7: "0247ca160b928d419dacd1233e76414d65fc82f9b30231250dfc1d14576309ea",
+}
+
 
 @pytest.fixture
 def fresh_tables():
@@ -318,9 +328,10 @@ class TestSquarefree:
         assert squarefree_disagreements(3, 3) == []
 
     def test_flipped_verdict_spreads_over_its_orbit(self, monkeypatch, capsys, fresh_tables):
-        # x^3 + x^2 heads an orbit of 5 groups over F_5, none fixed by a
-        # translate; the wrong verdict of f = x^3 + x^2 + 3 spreads to
-        # f(x + 1) = x^3 + 4x^2, which comes first in enumeration order
+        # x^3 + x^2 heads an orbit of 10 groups over F_5 under x -> u*x + a,
+        # each fixed by 2 of the 20 maps; the wrong verdict of
+        # f = x^3 + x^2 + 3 = (x - 1)^2 (x + 3) spreads to one polynomial in
+        # each, and f(x + 2) = x(x + 1)^2 comes first in enumeration order
         real = ffield._squarefree_group
 
         def flipped(h, q):
@@ -333,12 +344,12 @@ class TestSquarefree:
         verdicts = ffield._polynomial_table(5, 3).translate(ffield._SQUAREFUL)
         sieve = ffield._square_sieve(5, 3)
         wrong = [i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b]
-        assert len({i % 25 for i in wrong}) == len(wrong) == 5
+        assert len({i % 25 for i in wrong}) == len(wrong) == 10
         assert cli.main(["verify", "pointcount"]) == 1
         out = capsys.readouterr().out
         assert (
             "FAIL suite=pointcount space=- k=0 n=3 | q=5: squarefree tests disagree "
-            "at FieldPoly(q=5, coeffs=(0, 0, 4, 1))"
+            "at FieldPoly(q=5, coeffs=(0, 1, 2, 1))"
         ) in out.splitlines()
 
     def test_sieve_never_calls_the_gcd_test(self, monkeypatch, fresh_tables):
@@ -391,10 +402,11 @@ class TestTables:
                     shifted = FieldPoly(fld, g)
                     assert all(shifted.evaluate(x) == h.evaluate((x + a) % q) for x in range(q))
 
-    @pytest.mark.parametrize("q, n, runs", [(7, 5, 343), (5, 5, 129)])
+    @pytest.mark.parametrize("q, n, runs", [(7, 5, 68), (5, 5, 41)])
     def test_one_gcd_run_per_orbit(self, monkeypatch, fresh_tables, q, n, runs):
-        # x -> x + a moves the x^(n-1) coefficient by n*a, so for p not
-        # dividing n each orbit has q groups; for p | n some have fewer
+        # x -> u*x + a sends groups to groups, so there is one run per orbit
+        # of groups: the q^(n-1) groups fall into 68 orbits over F_7 and 41
+        # over F_5, against 343 and 129 under the translations alone
         calls = []
         real = ffield._squarefree_group
 
@@ -437,6 +449,21 @@ class TestTables:
     def test_pinned_polynomial_tables(self):
         for (q, n), digest in POLYNOMIAL_TABLE_SHA256.items():
             assert hashlib.sha256(ffield._polynomial_table(q, n)).hexdigest() == digest
+
+    @pytest.mark.parametrize("q", sorted(DEGREE_6_TABLE_SHA256))
+    def test_pinned_degree_6_tables(self, q):
+        digest = hashlib.sha256(ffield._polynomial_table(q, 6)).hexdigest()
+        assert digest == DEGREE_6_TABLE_SHA256[q]
+
+    @pytest.mark.parametrize("q, max_n", [(2, 5), (3, 5), (5, 5), (7, 5), (11, 4)])
+    def test_tuple_minima_match_filtered_product(self, q, max_n):
+        # all q^n tuples, kept when their entries are pairwise distinct
+        for n in range(max_n + 1):
+            expected = [0] * (q + 1)
+            for tup in itertools.product(range(q), repeat=n):
+                if len(set(tup)) == n:
+                    expected[min(tup, default=q)] += 1
+            assert ffield._tuple_minima(q, n) == tuple(expected)
 
 
 class TestCounts:

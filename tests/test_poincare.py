@@ -36,6 +36,13 @@ class TestBettiUnordered:
     def test_plane_three_points(self):
         assert betti_unordered(0, 3) == ONE + X
 
+    def test_table_agrees_with_the_per_n_route(self):
+        # the standard-unordered family builds its table from one pyramidal
+        # row; the per-n route builds each polynomial on its own
+        for k in range(33):
+            table = duality.FAMILIES["standard-unordered"](k, 64)
+            assert list(table) == [betti_unordered(k, n) for n in range(65)], k
+
     def test_single_point_is_the_space_itself(self):
         assert betti_unordered(1, 1) == ONE + X
         for k in range(6):

@@ -294,13 +294,15 @@ class TestFailureNaming:
         assert wrong == []
 
     def test_summary_counts(self, monkeypatch):
-        real = poincare.betti_unordered
+        real = poincare.betti_unordered_table
 
-        def broken(k, n):
-            poly = real(k, n)
-            return poly + LaurentPoly({1: 1}) if (k, n) == (2, 3) else poly
+        def broken(k, max_n):
+            table = real(k, max_n)
+            if k != 2 or max_n < 3:
+                return table
+            return (*table[:3], table[3] + LaurentPoly({1: 1}), *table[4:])
 
-        monkeypatch.setattr(poincare, "betti_unordered", broken)
+        monkeypatch.setattr(poincare, "betti_unordered_table", broken)
         summary, results = run_suites(["duality"], Scope(max_k=2, max_n=4))
         assert summary.failed == 1
         assert summary.passed + summary.failed == len(results)
