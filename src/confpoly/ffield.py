@@ -47,7 +47,6 @@ is its independence.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -301,6 +300,10 @@ def _square_sieve(q: int, n: int) -> bytes:
 _SQUAREFREE = 0x80
 
 
+# byte 0 -> 1, any other byte -> 0: marks the polynomials with value 0
+_IS_ZERO = bytes([1]) + bytes(255)
+
+
 def _smallest_roots(q: int, n: int) -> bytes:
     """Byte i is the smallest root in 0..q-1 of the i-th monic degree-n
     polynomial, q if it has none.
@@ -308,8 +311,12 @@ def _smallest_roots(q: int, n: int) -> bytes:
     The i-th polynomial is c + x*g, with g the (i mod q^(n-1))-th monic
     polynomial of degree n-1, so its values at a follow from those of
     degree n-1 by one Horner step: for each c, one ``bytes.translate`` of
-    the previous level by v -> (c + a*v) mod q."""
-    roots = bytearray([q]) * q**n
+    the previous level by v -> (c + a*v) mod q.  For each a, from q - 1
+    down to 0, one more ``translate`` marks the zero values, and the roots,
+    held as one big int of q^n bytes, take byte a under the mark: the last
+    write, by the smallest root, stands."""
+    size = q**n
+    roots = int.from_bytes(bytes([q]) * size, "big")
     for a in reversed(range(q)):
         steps = [
             bytes((c + a * v) % q for v in range(q)).ljust(256, b"\0") for c in range(q)
@@ -317,11 +324,9 @@ def _smallest_roots(q: int, n: int) -> bytes:
         values = b"\1"  # the one monic polynomial of degree 0 is 1 at a
         for _ in range(n):
             values = b"".join(values.translate(step) for step in steps)
-        i = values.find(0)
-        while i >= 0:
-            roots[i] = a
-            i = values.find(0, i + 1)
-    return bytes(roots)
+        zeros = int.from_bytes(values.translate(_IS_ZERO), "big")
+        roots = roots & ~(zeros * 0xFF) | zeros * a
+    return roots.to_bytes(size, "big")
 
 
 def _squarefree_group(h: list[int], q: int) -> bytes:
@@ -403,7 +408,8 @@ def _polynomial_table(q: int, n: int) -> bytes:
                     if not done[i]:
                         flags[i::stride] = bytes(map(rotated.__getitem__, reads))
                         done[i] = 1
-    return bytes(map(operator.or_, _smallest_roots(q, n), flags))
+    roots = int.from_bytes(_smallest_roots(q, n), "big")
+    return (roots | int.from_bytes(flags, "big")).to_bytes(len(flags), "big")
 
 
 @cache

@@ -76,21 +76,23 @@ def stable_betti(k: int, j: int) -> int:
     return P(k - 1, j) + P(k - 1, j - 1)
 
 
-# k -> (n, the product of the first n factors): the last ordered product
-# made for each k, so a sweep over n = 0, 1, 2, ... costs one factor per n
-_ORDERED: dict[int, tuple[int, LaurentPoly]] = {}
+# k -> (n, row): the coefficients of x^0..x^n of the last ordered product
+# made for each k, as a tuple of ints, so a sweep over n = 0, 1, 2, ...
+# costs one factor per n and each answer is one LaurentPoly
+_ORDERED: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _ordered_product(k: int, n: int) -> LaurentPoly:
-    """(1 + k*x) ... (1 + (n+k-1)*x), extended from the product held for k
-    when that one has at most n factors, else from the empty product."""
-    have, product = _ORDERED.get(k, (0, ONE))
+    """(1 + k*x) ... (1 + (n+k-1)*x), extended from the row held for k when
+    that one has at most n factors, else from the empty product.  The factor
+    1 + m*x takes the row c to c_i + m*c_(i-1)."""
+    have, row = _ORDERED.get(k, (0, (1,)))
     if have > n:
-        have, product = 0, ONE
-    for j in range(have, n):
-        product = product * LaurentPoly({0: 1, 1: k + j})
-    _ORDERED[k] = (n, product)
-    return product
+        have, row = 0, (1,)
+    for m in range(k + have, k + n):
+        row = tuple([c + m * b for c, b in zip((*row, 0), (0, *row))])
+    _ORDERED[k] = (n, row)
+    return LaurentPoly._make({e: c for e, c in enumerate(row) if c})
 
 
 def poincare_ordered(k: int, n: int) -> LaurentPoly:

@@ -23,6 +23,7 @@ floats or bools, so every comparison in the test suite is an exact equality.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, Union
 
 
@@ -232,22 +233,35 @@ def _as_poly(value) -> LaurentPoly:
 def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """Sum of ``a * b`` over the pairs: the one loop that multiplies terms.
     The operand with fewer terms is the outer loop, so the inner one is
-    started once per term of the shorter, and the first term's products
-    fill the empty sum in one comprehension."""
+    started once per term of the shorter.  The pair whose longer operand is
+    longest fills the empty sum in one comprehension, where a term with
+    coefficient 1 shifts the inner operand without multiplying.  Products of
+    nonzero ints are nonzero, so only a sum can reach 0, and such a term is
+    deleted where it cancels: the result needs no zero filter."""
+    rows = [
+        (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
+        for a, b in pairs
+    ]
+    if len(rows) > 1:
+        rows.sort(key=lambda row: len(row[1]), reverse=True)
     out: dict[int, int] = {}
-    for a, b in pairs:
-        a, b = a._terms, b._terms
-        if len(a) > len(b):
-            a, b = b, a
+    for a, b in rows:
         b = b.items()
         for e1, c1 in a.items():
             if not out:
-                out = {e1 + e2: c1 * c2 for e2, c2 in b}
+                if c1 == 1:
+                    out = {e1 + e2: c2 for e2, c2 in b}
+                else:
+                    out = {e1 + e2: c1 * c2 for e2, c2 in b}
                 continue
             for e2, c2 in b:
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-    return LaurentPoly._make({e: c for e, c in out.items() if c})
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return LaurentPoly._make(out)
 
 
 def _unit_inverse(head: LaurentPoly) -> LaurentPoly:
@@ -274,6 +288,29 @@ def _exact_quotient(p: LaurentPoly, m: int) -> LaurentPoly:
 def _nonzero(coeffs: tuple[LaurentPoly, ...]) -> list[tuple[int, LaurentPoly]]:
     """(j, c) for every nonzero coefficient c of y^j, in order of j."""
     return [(j, c) for j, c in enumerate(coeffs) if c]
+
+
+_CONSTANT = frozenset({0})
+
+
+def _constants(coeffs: tuple[LaurentPoly, ...]) -> list[int] | None:
+    """The coefficients as ints when every one is a constant, else None."""
+    if all(c._terms.keys() <= _CONSTANT for c in coeffs):
+        return [c._terms.get(0, 0) for c in coeffs]
+    return None
+
+
+def _trim(row: list[int]) -> list[int]:
+    """``row`` cut after its last nonzero entry, in place."""
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+def _int_dot(xs: list[int], ys: list[int]) -> int:
+    """Sum of ``x * y`` over the pairs of two int rows: the one loop that
+    multiplies the coefficients of an integer series."""
+    return sum(map(operator.mul, xs, ys))
 
 
 def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -334,6 +371,19 @@ class TruncSeries:
         self._order = order
         self._coeffs = tuple(polys)
 
+    @classmethod
+    def _make(cls, order: int, coeffs: Iterable[LaurentPoly]) -> "TruncSeries":
+        """The series on ``coeffs`` as given, unchecked: for the kernels,
+        which make order + 1 LaurentPoly values."""
+        s = object.__new__(cls)
+        s._order, s._coeffs = order, tuple(coeffs)
+        return s
+
+    @classmethod
+    def _of_ints(cls, order: int, values: list[int]) -> "TruncSeries":
+        """``_make`` of the constants ``values``."""
+        return cls._make(order, [LaurentPoly._make({0: c} if c else {}) for c in values])
+
     @property
     def order(self) -> int:
         return self._order
@@ -366,6 +416,16 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
+        a = _constants(self._coeffs)
+        if a is not None and (b := _constants(other._coeffs)) is not None:
+            # y^m is a_0 b_m + ... + a_m b_0, on ints, with a the operand of
+            # lower degree, cut after its last nonzero coefficient
+            if len(_trim(a)) > len(_trim(b)):
+                a, b = b, a
+            b += [0] * (self._order + 1 - len(b))  # so b[m::-1] starts at b_m
+            return TruncSeries._of_ints(
+                self._order, [_int_dot(a[: m + 1], b[m::-1]) for m in range(self._order + 1)]
+            )
         # y^m sums a[i] * b[j] over i + j = m; only nonzero pairs are made
         pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in self._coeffs]
         b = _nonzero(other._coeffs)
@@ -374,7 +434,7 @@ class TruncSeries:
                 if i + j > self._order:
                     break
                 pairs[i + j].append((p, q))
-        return TruncSeries(self._order, [_dot(ps) for ps in pairs])
+        return TruncSeries._make(self._order, [_dot(ps) for ps in pairs])
 
     def __pow__(self, n: int) -> "TruncSeries":
         """``self`` to the integer power n modulo y^(N+1), negative n too.
@@ -393,6 +453,21 @@ class TruncSeries:
         _integer("n", n)
         unit = _unit_inverse(self._coeffs[0])
         ((e0, c0),) = self._coeffs[0]._terms.items()
+        f = _constants(self._coeffs)
+        if f is not None:
+            # the same recurrence on ints: f_0 = c0 = +-1 is its own inverse,
+            # and g holds c0 * f_i for i = 1..d
+            g = _trim([c0 * c for c in f[1:]])
+            ints = [c0 if n % 2 else 1]
+            for m in range(1, self._order + 1):
+                d = min(m, len(g))
+                weighted = [((n + 1) * i - m) * g[i - 1] for i in range(1, d + 1)]
+                s = _int_dot(weighted, ints[m - d : m][::-1])
+                q, r = divmod(s, m)
+                if r:
+                    raise ArithmeticError(f"{s} is not divisible by {m}")
+                ints.append(q)
+            return TruncSeries._of_ints(self._order, ints)
         # the terms of unit * f_i are made once; the weight (n + 1) i - m
         # scales them per m
         g = [(i, (unit * p)._terms.items()) for i, p in _nonzero(self._coeffs)[1:]]
@@ -407,7 +482,7 @@ class TruncSeries:
                     weighted = LaurentPoly._make({e: w * c for e, c in terms})
                     pairs.append((weighted, out[m - i]))
             out.append(_exact_quotient(_dot(pairs), m))
-        return TruncSeries(self._order, out)
+        return TruncSeries._make(self._order, out)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         """The exact quotient modulo y^(N+1): the series q with q * other == self.
@@ -427,7 +502,7 @@ class TruncSeries:
         out: list[LaurentPoly] = []
         for m, s in enumerate(self._coeffs):
             out.append(_dot([(unit, s), *((p, out[m - i]) for i, p in t if i <= m)]))
-        return TruncSeries(self._order, out)
+        return TruncSeries._make(self._order, out)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse modulo y^(N+1): the quotient 1 / self."""

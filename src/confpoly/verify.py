@@ -198,8 +198,14 @@ def suite_recursions(scope: Scope) -> Iterator[Cell]:
     for n in range(1, 9):
         yield _cell("-", 1, n, stirling_cell, n)
 
+    # (k, n) -> betti_unordered(k, n), read once for all j in this run; the
+    # route is looked up when first called, so a replaced one is still seen
+    unordered: dict[tuple[int, int], LaurentPoly] = {}
+
     def stable_cell(k: int, j: int, n: int) -> tuple[bool, str]:
-        rank = poincare.betti_unordered(k, n).coefficient(j)
+        if (k, n) not in unordered:
+            unordered[k, n] = poincare.betti_unordered(k, n)
+        rank = unordered[k, n].coefficient(j)
         expected = poincare.stable_betti(k, j)
         if n == j:
             expected -= combinatorics.pyramidal(k - 1, j - 1)

@@ -38,22 +38,24 @@ def check_space(space: str) -> None:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
 
 
-# k -> (n, the product of the first n factors): the last falling-factorial
-# product made for each k, so a sweep over n = 0, 1, 2, ... costs one factor
-# per n.  Kept apart from poincare's product, which it is checked against.
-_ORDERED: dict[int, tuple[int, LaurentPoly]] = {}
+# k -> (n, row): the coefficients of x^0, x^2, ..., x^2n of the last
+# falling-factorial product made for each k, as a tuple of ints, so a sweep
+# over n = 0, 1, 2, ... costs one factor per n and each answer is one
+# LaurentPoly.  Kept apart from poincare's row, which it is checked against.
+_ORDERED: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _falling_product(k: int, n: int) -> LaurentPoly:
-    """(x^2 - k) ... (x^2 - k - n + 1), extended from the product held for k
-    when that one has at most n factors, else from the empty product."""
-    have, product = _ORDERED.get(k, (0, ONE))
+    """(x^2 - k) ... (x^2 - k - n + 1), extended from the row held for k
+    when that one has at most n factors, else from the empty product.  The
+    factor x^2 - m takes the row c of even coefficients to c_(i-1) - m*c_i."""
+    have, row = _ORDERED.get(k, (0, (1,)))
     if have > n:
-        have, product = 0, ONE
-    for j in range(have, n):
-        product = product * LaurentPoly({2: 1, 0: -(k + j)})
-    _ORDERED[k] = (n, product)
-    return product
+        have, row = 0, (1,)
+    for m in range(k + have, k + n):
+        row = tuple([b - m * c for c, b in zip((*row, 0), (0, *row))])
+    _ORDERED[k] = (n, row)
+    return LaurentPoly._make({2 * i: c for i, c in enumerate(row) if c})
 
 
 def virtual_ordered(k: int, n: int) -> LaurentPoly:

@@ -1,7 +1,8 @@
 """Products written out by hand, each once and nowhere else in the tests.
 
-The ordered products are multiplied out one factor at a time, and both
-running-product stores are checked against them. The series product is
+The ordered products are multiplied out one factor at a time, as
+LaurentPoly products, and both routes' coefficient rows are checked
+against them. The series product is
 a plain convolution over exponent dicts, against which ``TruncSeries``
 multiplication is checked. The product over F_q multiplies coefficient
 tuples, against which ``FieldPoly`` division and gcd and the squarefree
@@ -10,27 +11,33 @@ generating-series route costs, so a test can bound it without timing
 anything.
 """
 
+from functools import cache
+
 import confpoly.ring as ring
 from confpoly.ring import ONE, LaurentPoly, TruncSeries
 
 # every k with n both small and large, so a shuffle walks n up and down
 ORDERED_CALLS = [(k, n) for k in range(4) for n in (0, 1, 2, 5, 9, 14)]
+# every (k, n) up to the CLI limits k <= 32, n <= 64
+LIMIT_CALLS = [(k, n) for k in range(33) for n in range(65)]
 
 
+@cache
 def ordered_by_hand(k, n):
-    """(1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x)."""
-    product = ONE
-    for j in range(n):
-        product = product * LaurentPoly({0: 1, 1: k + j})
-    return product
+    """(1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x), one factor on the
+    product of the first n - 1."""
+    if n == 0:
+        return ONE
+    return ordered_by_hand(k, n - 1) * LaurentPoly({0: 1, 1: k + n - 1})
 
 
+@cache
 def falling_by_hand(k, n):
-    """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1)."""
-    product = ONE
-    for j in range(n):
-        product = product * LaurentPoly({2: 1, 0: -(k + j)})
-    return product
+    """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), one factor on the
+    product of the first n - 1."""
+    if n == 0:
+        return ONE
+    return falling_by_hand(k, n - 1) * LaurentPoly({2: 1, 0: -(k + n - 1)})
 
 
 def series_product_by_hand(a, b):
@@ -65,18 +72,23 @@ def field_product_by_hand(q, *factors):
 
 
 def assert_divides_by_factors(monkeypatch, route, k=32, order=64):
-    """``route(k, order)`` makes at most 3 500 term products (3 220 measured
-    for the costliest route at the defaults, 2 402 for the other two; a
-    dense denominator inverted whole costs about 88 000), calls no
+    """``route(k, order)`` makes at most 3 250 term products (3 218 measured
+    for the raw virtual route at the defaults, 2 402 and 2 401 for the other
+    two; a dense denominator inverted whole costs about 88 000), calls no
     ``inverse``, and divides only by series whose coefficients have at most
-    one term."""
-    dot, divide = ring._dot, TruncSeries.__truediv__
+    one term.  A term product multiplies two nonzero coefficients, in
+    ``_dot`` or in the integer series kernel ``_int_dot``."""
+    dot, int_dot, divide = ring._dot, ring._int_dot, TruncSeries.__truediv__
     products, divisors = [0], []
 
     def counting_dot(pairs):
         pairs = list(pairs)
         products[0] += sum(len(a.support()) * len(b.support()) for a, b in pairs)
         return dot(pairs)
+
+    def counting_int_dot(xs, ys):
+        products[0] += sum(1 for x, y in zip(xs, ys) if x and y)
+        return int_dot(xs, ys)
 
     def recording_divide(self, other):
         divisors.append(other)
@@ -87,10 +99,11 @@ def assert_divides_by_factors(monkeypatch, route, k=32, order=64):
 
     with monkeypatch.context() as m:
         m.setattr(ring, "_dot", counting_dot)
+        m.setattr(ring, "_int_dot", counting_int_dot)
         m.setattr(TruncSeries, "__truediv__", recording_divide)
         m.setattr(TruncSeries, "inverse", no_inverse)
         route(k, order)
-    assert products[0] <= 3_500, f"{route.__name__}: {products[0]} term products"
+    assert products[0] <= 3_250, f"{route.__name__}: {products[0]} term products"
     assert divisors, f"{route.__name__} divides by no series"
     for s in divisors:
         assert all(len(c.support()) <= 1 for c in s.coeffs), f"divided by {s}"

@@ -21,6 +21,7 @@ from confpoly.ring import ONE, X, LaurentPoly, TruncSeries
 from confpoly.virtual import virtual_ordered
 
 from by_hand import (
+    LIMIT_CALLS,
     ORDERED_CALLS,
     assert_divides_by_factors,
     falling_by_hand,
@@ -156,6 +157,13 @@ class TestOrderedRunningProduct:
     def test_any_call_order(self, calls):
         for k, n in calls:
             assert poincare_ordered(k, n) == ordered_by_hand(k, n)
+
+    def test_every_call_up_to_the_limits(self, monkeypatch):
+        monkeypatch.setattr(poincare, "_ORDERED", {})
+        calls = LIMIT_CALLS.copy()
+        random.Random(0).shuffle(calls)
+        for k, n in calls:
+            assert poincare_ordered(k, n) == ordered_by_hand(k, n), (k, n)
 
     def test_deep_call_on_a_cold_store(self, monkeypatch):
         monkeypatch.setattr(poincare, "_ORDERED", {})

@@ -78,6 +78,38 @@ def sparse_series_pairs(draw):
     return tuple(TruncSeries(order, [c.get(j, ZERO) for j in range(6)]) for c in (a, b))
 
 
+# integer series: a +-1 head (or any int head, for products) and an int
+# tail with zero gaps, at orders that cut powers and products short
+int_tails = st.dictionaries(
+    st.integers(min_value=1, max_value=6), st.integers(min_value=-4, max_value=4), max_size=3
+)
+
+
+@st.composite
+def int_series_pairs(draw):
+    order = draw(st.integers(min_value=0, max_value=12))
+    return tuple(
+        TruncSeries(order, [draw(st.integers(-3, 3)), *(tail.get(j, 0) for j in range(1, 7))])
+        for tail in (draw(int_tails), draw(int_tails))
+    )
+
+
+@st.composite
+def invertible_int_series(draw):
+    order = draw(st.integers(min_value=0, max_value=12))
+    head, tail = draw(st.sampled_from([1, -1])), draw(int_tails)
+    return TruncSeries(order, [head, *(tail.get(j, 0) for j in range(1, 7))])
+
+
+def power_by_hand(s, n):
+    """s^n as |n| products by hand of s, or of 1 / s for n < 0."""
+    base = s if n >= 0 else s.inverse()
+    out = TruncSeries(s.order, [1])
+    for _ in range(abs(n)):
+        out = TruncSeries(s.order, [LaurentPoly(d) for d in series_product_by_hand(out, base)])
+    return out
+
+
 @st.composite
 def sparse_invertible_series(draw):
     order = draw(st.integers(min_value=0, max_value=12))
@@ -143,6 +175,26 @@ class TestLaurentMul:
         a, b = P({-2: 1, 1: 3}), P({0: 5, 4: -1})
         sumset = {ea + eb for ea in a.support() for eb in b.support()}
         assert set((a * b).support()) <= sumset
+
+
+class TestDot:
+    @given(st.lists(st.tuples(polys, polys), max_size=5), st.randoms())
+    def test_any_pair_order(self, pairs, rnd):
+        expected = {}
+        for a, b in pairs:
+            (product,) = series_product_by_hand(TruncSeries(0, [a]), TruncSeries(0, [b]))
+            for e, c in product.items():
+                expected[e] = expected.get(e, 0) + c
+        shuffled = pairs.copy()
+        rnd.shuffle(shuffled)
+        assert ring._dot(shuffled) == ring._dot(pairs) == LaurentPoly(expected)
+
+    def test_cancelled_terms_are_not_kept(self):
+        # across pairs, within one pair, and in the pair that fills the sum
+        assert ring._dot([(X, ONE), (-X, ONE)]).support() == ()
+        assert ring._dot([(P({0: 1, 1: 1}), P({0: 1, 1: -1}))]).support() == (0, 2)
+        assert ring._dot([(P({0: 1, 1: 1}), X), (ONE, P({1: -1, 2: -1}))]).support() == ()
+        assert ring._dot([]).support() == ()
 
 
 class TestEvalInt:
@@ -234,6 +286,30 @@ class TestSeriesMul:
             {e: c.coefficient(e) for e in c.support()} for c in got.coeffs
         ] == series_product_by_hand(a, b)
 
+    @given(int_series_pairs())
+    def test_integer_product_matches_by_hand(self, pair):
+        a, b = pair
+        assert [{0: c.coefficient(0)} if c else {} for c in (a * b).coeffs] == (
+            series_product_by_hand(a, b)
+        )
+
+    def test_integer_series_take_the_int_kernel(self, monkeypatch):
+        calls = []
+        int_dot = ring._int_dot
+
+        def counting(xs, ys):
+            calls.append(len(xs))
+            return int_dot(xs, ys)
+
+        monkeypatch.setattr(ring, "_int_dot", counting)
+        s = TruncSeries(6, [1, 2, 0, -1])
+        assert (s * s)[6] == 1 and s**-2 == power_by_hand(s, -2)
+        assert len(calls) == 7 + 6
+        calls.clear()
+        t = TruncSeries(6, [ONE, X])
+        assert t * s == TruncSeries(6, [1, X + 2, 2 * X, -1, -X]) and calls == []
+        assert t**3 == TruncSeries(6, [1, 3 * X, 3 * X * X, X * X * X]) and calls == []
+
     def test_operands_must_be_series(self):
         s = TruncSeries(2, [ONE, X])
         with pytest.raises(TypeError):
@@ -315,6 +391,18 @@ class TestSeriesPow:
         assert ring._exact_quotient(LaurentPoly({0: 6, 2: -4}), 2) == LaurentPoly({0: 3, 2: -2})
         with pytest.raises(ArithmeticError, match="not divisible by 2"):
             ring._exact_quotient(LaurentPoly({0: 6, 2: -3}), 2)
+
+    @given(invertible_int_series(), st.integers(-6, 6))
+    def test_integer_powers_match_products_by_hand(self, s, n):
+        assert s**n == power_by_hand(s, n)
+
+    def test_inexact_integer_step_raises(self, monkeypatch):
+        # the integer recurrence keeps the check: (1 + y)^3 with a sum off by
+        # one leaves 9 at y^2, which 2 does not divide
+        int_dot = ring._int_dot
+        monkeypatch.setattr(ring, "_int_dot", lambda xs, ys: int_dot(xs, ys) + 1)
+        with pytest.raises(ArithmeticError, match="^9 is not divisible by 2$"):
+            TruncSeries(4, [1, 1]) ** 3
 
     @pytest.mark.parametrize("head", [2, ONE + X, 0], ids=["2", "1+x", "0"])
     @pytest.mark.parametrize("n", [-1, 0, 3])

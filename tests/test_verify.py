@@ -49,6 +49,19 @@ class TestRunSuites:
         summary, _ = run_suites(["series"], Scope(max_k=3, max_n=8))
         assert summary.ok
 
+    def test_stabilization_reads_each_polynomial_once(self, monkeypatch):
+        # the 567 stabilization cells at the defaults read 91 (k, n)
+        real, calls = poincare.betti_unordered, collections.Counter()
+
+        def counting(k, n):
+            calls[k, n] += 1
+            return real(k, n)
+
+        monkeypatch.setattr(poincare, "betti_unordered", counting)
+        summary, _ = run_suites(["recursions"])
+        assert summary.ok
+        assert sum(calls.values()) == len(calls) == 91
+
     def test_pointcount_suite_green_small(self):
         summary, results = run_suites(["pointcount"], Scope(primes=(2, 3), max_n=4))
         assert summary.ok

@@ -1,6 +1,7 @@
 """Virtual Poincare polynomials: product formula and both series forms."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,12 @@ from confpoly.virtual import (
     virtual_unordered_series,
 )
 
-from by_hand import ORDERED_CALLS, assert_divides_by_factors, falling_by_hand
+from by_hand import (
+    LIMIT_CALLS,
+    ORDERED_CALLS,
+    assert_divides_by_factors,
+    falling_by_hand,
+)
 
 X2 = LaurentPoly({2: 1})
 
@@ -126,6 +132,13 @@ class TestOrderedRunningProduct:
     def test_any_call_order(self, calls):
         for k, n in calls:
             assert virtual_ordered(k, n) == falling_by_hand(k, n)
+
+    def test_every_call_up_to_the_limits(self, monkeypatch):
+        monkeypatch.setattr(virtual, "_ORDERED", {})
+        calls = LIMIT_CALLS.copy()
+        random.Random(0).shuffle(calls)
+        for k, n in calls:
+            assert virtual_ordered(k, n) == falling_by_hand(k, n), (k, n)
 
     def test_deep_call_on_a_cold_store(self, monkeypatch):
         monkeypatch.setattr(virtual, "_ORDERED", {})
