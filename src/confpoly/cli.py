@@ -218,22 +218,23 @@ def _cmd_verify(parser, args) -> int:
     except ffield.TooLargeError as exc:
         parser.error(f"{exc}; lower --max-n or drop primes from --primes")
 
+    # one writelines call, passed on in 8 KB chunks: one large write to a pipe
+    # can come out short when a signal handler interrupts it (CPython 3.11)
+    lines = []
     if suite == "all":
         for name in summary.suites:
             group = [r for r in results if r.suite == name]
             bad = sum(1 for r in group if not r.passed)
-            print(f"suite {name}: {len(group)} checks, {bad} failed")
-    for r in results:
-        if suite != "all" or not r.passed:
-            print(_format_check(r))
-
-    print(
+            lines.append(f"suite {name}: {len(group)} checks, {bad} failed")
+    lines += [_format_check(r) for r in results if suite != "all" or not r.passed]
+    lines.append(
         f"summary: suites={','.join(summary.suites)} "
         f"passed={summary.passed} failed={summary.failed}"
     )
     if summary.first_failure is not None:
-        print(f"first failure: {_format_check(summary.first_failure)}")
-    print(f"result: {'PASS' if summary.ok else 'FAIL'}")
+        lines.append(f"first failure: {_format_check(summary.first_failure)}")
+    lines.append(f"result: {'PASS' if summary.ok else 'FAIL'}")
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     per_suite = ", ".join(
         f"{name} {seconds:.2f}s" for name, seconds in zip(summary.suites, summary.suite_durations)
     )

@@ -29,7 +29,8 @@ def betti_unordered(k: int, n: int) -> LaurentPoly:
     P = combinatorics.pyramidal
     ranks = {i: P(k - 1, i) + P(k - 1, i - 1) for i in range(n)}
     ranks[n] = P(k - 1, n)
-    return LaurentPoly(ranks)
+    # ints from pyramidal, so only the zeros of k = 0, P(-1, i > 0), go
+    return LaurentPoly._make({i: r for i, r in ranks.items() if r})
 
 
 def betti_unordered_table(k: int, max_n: int) -> tuple[LaurentPoly, ...]:
@@ -41,7 +42,7 @@ def betti_unordered_table(k: int, max_n: int) -> tuple[LaurentPoly, ...]:
     stable: dict[int, int] = {}
     table = []
     for n, top in enumerate(row):
-        table.append(LaurentPoly({**stable, n: top}))
+        table.append(LaurentPoly._make({i: r for i, r in {**stable, n: top}.items() if r}))
         stable[n] = top + row[n - 1] if n else top
     return tuple(table)
 

@@ -124,9 +124,12 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly._make({e: c for e, c in out.items() if c})
+        for e, c in other._terms.items():  # a term that cancels goes at once
+            if c := out.get(e, 0) + c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._make(out)
 
     __radd__ = __add__
 
@@ -137,7 +140,8 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return _dot(((self, other),))
+        a, b = sorted((self._terms, other._terms), key=len)
+        return _dot((e, c, b) for e, c in a.items())
 
     __rmul__ = __mul__
 
@@ -230,51 +234,46 @@ def _as_poly(value) -> LaurentPoly:
     return NotImplemented
 
 
-def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """Sum of ``a * b`` over the pairs: the one loop that multiplies terms.
-    The operand with fewer terms is the outer loop, so the inner one is
-    started once per term of the shorter.  The pair whose longer operand is
-    longest fills the empty sum in one comprehension, where a term with
-    coefficient 1 shifts the inner operand without multiplying.  Products of
-    nonzero ints are nonzero, so only a sum can reach 0, and such a term is
-    deleted where it cancels: the result needs no zero filter."""
-    rows = [
-        (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
-        for a, b in pairs
-    ]
-    if len(rows) > 1:
-        rows.sort(key=lambda row: len(row[1]), reverse=True)
+def _dot(rows: Iterable[tuple[int, int, dict[int, int]]]) -> LaurentPoly:
+    """Sum of ``c * x^e * q`` over the rows (e, c, q), each q the terms of a
+    polynomial: the one loop that multiplies terms, into one dict.  Callers
+    flatten one operand (the shorter, the divisor, the base of a power) into
+    the monomials c * x^e and put the longest q first, which fills the empty
+    sum in one comprehension (c = 1 shifts q without multiplying).  Products of nonzero ints are nonzero, so
+    only a sum can reach 0, and such a term is deleted where it cancels: the
+    result needs no zero filter."""
     out: dict[int, int] = {}
-    for a, b in rows:
-        b = b.items()
-        for e1, c1 in a.items():
-            if not out:
-                if c1 == 1:
-                    out = {e1 + e2: c2 for e2, c2 in b}
-                else:
-                    out = {e1 + e2: c1 * c2 for e2, c2 in b}
-                continue
-            for e2, c2 in b:
-                e = e1 + e2
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
+    for e1, c1, q in rows:
+        if not out:
+            out = {e1 + e2: c2 if c1 == 1 else c1 * c2 for e2, c2 in q.items()}
+            continue
+        for e2, c2 in q.items():
+            e = e1 + e2
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
     return LaurentPoly._make(out)
 
 
-def _unit_inverse(head: LaurentPoly) -> LaurentPoly:
-    """The inverse +-x^-e of a y^0 coefficient +-x^e, the only units over
-    the integers; :class:`NonUnitConstantTermError` for any other."""
+def _unit_inverse(head: LaurentPoly) -> tuple[int, int]:
+    """(-e, c) for the inverse c * x^-e of a y^0 coefficient c * x^e with
+    c = +-1, the only units over the integers;
+    :class:`NonUnitConstantTermError` for any other."""
     if len(head._terms) != 1:
         raise NonUnitConstantTermError(f"y^0 coefficient {head} is not a monomial unit")
     ((e, c),) = head._terms.items()
     if c not in (1, -1):
-        raise NonUnitConstantTermError(
-            f"y^0 coefficient {head} has non-unit coefficient {c}"
-        )
-    return LaurentPoly._make({-e: c})
+        raise NonUnitConstantTermError(f"y^0 coefficient {head} has non-unit coefficient {c}")
+    return -e, c
+
+
+def _monomials(coeffs: tuple[LaurentPoly, ...], first=0, shift=0, scale=1) -> list:
+    """(i, e + shift, c * scale) for each term c * x^e of the coefficient of
+    y^i, i >= first, in order of i: a series flattened once for ``_dot``."""
+    terms = range(first, len(coeffs))
+    return [(i, e + shift, c * scale) for i in terms for e, c in coeffs[i]._terms.items()]
 
 
 def _exact_quotient(p: LaurentPoly, m: int) -> LaurentPoly:
@@ -283,11 +282,6 @@ def _exact_quotient(p: LaurentPoly, m: int) -> LaurentPoly:
     if any(c % m for c in p._terms.values()):
         raise ArithmeticError(f"{p} is not divisible by {m}")
     return LaurentPoly._make({e: c // m for e, c in p._terms.items()})
-
-
-def _nonzero(coeffs: tuple[LaurentPoly, ...]) -> list[tuple[int, LaurentPoly]]:
-    """(j, c) for every nonzero coefficient c of y^j, in order of j."""
-    return [(j, c) for j, c in enumerate(coeffs) if c]
 
 
 _CONSTANT = frozenset({0})
@@ -426,15 +420,16 @@ class TruncSeries:
             return TruncSeries._of_ints(
                 self._order, [_int_dot(a[: m + 1], b[m::-1]) for m in range(self._order + 1)]
             )
-        # y^m sums a[i] * b[j] over i + j = m; only nonzero pairs are made
-        pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in self._coeffs]
-        b = _nonzero(other._coeffs)
-        for i, p in _nonzero(self._coeffs):
-            for j, q in b:
-                if i + j > self._order:
-                    break
-                pairs[i + j].append((p, q))
-        return TruncSeries._make(self._order, [_dot(ps) for ps in pairs])
+        # y^m sums c * x^e * b_(m-i) over the terms c * x^e of each a_i, with
+        # a the operand of fewer terms, flattened once
+        a, b = self._coeffs, other._coeffs
+        if sum(len(p._terms) for p in a) > sum(len(p._terms) for p in b):
+            a, b = b, a
+        a = _monomials(a)
+        return TruncSeries._make(self._order, [
+            _dot((e, c, b[m - i]._terms) for i, e, c in a if i <= m)
+            for m in range(self._order + 1)
+        ])
 
     def __pow__(self, n: int) -> "TruncSeries":
         """``self`` to the integer power n modulo y^(N+1), negative n too.
@@ -451,8 +446,7 @@ class TruncSeries:
         whatever n is, and no series is divided.
         """
         _integer("n", n)
-        unit = _unit_inverse(self._coeffs[0])
-        ((e0, c0),) = self._coeffs[0]._terms.items()
+        e0, c0 = _unit_inverse(self._coeffs[0])
         f = _constants(self._coeffs)
         if f is not None:
             # the same recurrence on ints: f_0 = c0 = +-1 is its own inverse,
@@ -468,20 +462,14 @@ class TruncSeries:
                     raise ArithmeticError(f"{s} is not divisible by {m}")
                 ints.append(q)
             return TruncSeries._of_ints(self._order, ints)
-        # the terms of unit * f_i are made once; the weight (n + 1) i - m
-        # scales them per m
-        g = [(i, (unit * p)._terms.items()) for i, p in _nonzero(self._coeffs)[1:]]
-        out = [LaurentPoly._make({e0 * n: c0 if n % 2 else 1})]
+        # the terms of f_i / f_0 are flattened once; the weight (n + 1) i - m
+        # scales them per m, q_(m-1) first
+        g = _monomials(self._coeffs, 1, e0, c0)
+        out = [LaurentPoly._make({-e0 * n: c0 if n % 2 else 1})]
         for m in range(1, self._order + 1):
-            pairs = []
-            for i, terms in g:
-                if i > m:
-                    break
-                w = (n + 1) * i - m
-                if w:
-                    weighted = LaurentPoly._make({e: w * c for e, c in terms})
-                    pairs.append((weighted, out[m - i]))
-            out.append(_exact_quotient(_dot(pairs), m))
+            weighted = ((i, e, ((n + 1) * i - m) * c) for i, e, c in g if i <= m)
+            rows = ((e, c, out[m - i]._terms) for i, e, c in weighted if c)
+            out.append(_exact_quotient(_dot(rows), m))
         return TruncSeries._make(self._order, out)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
@@ -494,14 +482,15 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._match(other)
-        unit = _unit_inverse(other._coeffs[0])
-        # q_m = unit * (s_m - t_1 q_(m-1) - ... - t_m q_0) over the nonzero t_i
-        # alone, with -unit * t_i made once, so a divisor of degree d costs
-        # at most d + 1 products per coefficient, in one _dot
-        t = [(i, -(unit * p)) for i, p in _nonzero(other._coeffs)[1:]]
+        e0, c0 = _unit_inverse(other._coeffs[0])
+        # q_m = unit * (s_m - t_1 q_(m-1) - ... - t_m q_0), with the terms of
+        # -unit * t_i flattened once, q_(m-1) first and unit * s_m last
+        t = _monomials(other._coeffs, 1, e0, -c0)
         out: list[LaurentPoly] = []
         for m, s in enumerate(self._coeffs):
-            out.append(_dot([(unit, s), *((p, out[m - i]) for i, p in t if i <= m)]))
+            rows = [(e, c, out[m - i]._terms) for i, e, c in t if i <= m]
+            rows.append((e0, c0, s._terms))
+            out.append(_dot(rows))
         return TruncSeries._make(self._order, out)
 
     def inverse(self) -> "TruncSeries":

@@ -17,11 +17,11 @@ Suites:
     series      closed-form Betti rows vs generating function vs the
                 iterated one-puncture step; raw vs simplified virtual
                 series; polynomial shape invariants; generating-function
-                identities for pyramidal and stable ranks.  The virtual,
-                pyramidal and stable series are carried across k by
-                one-puncture steps; the public virtual routes are built
-                only at k = 0 and at the last k, and checked there
-                against the carried series
+                identities for pyramidal and stable ranks.  The chain and
+                the virtual, pyramidal and stable series are carried
+                across k by one-puncture steps, the chain and the raw form
+                on Kronecker ints; the public virtual routes are checked
+                against the carried series at the last k
     duality     transformed standard polynomial == virtual polynomial
     pointcount  finite-field enumerations vs specialized virtual
                 polynomials, plus agreement of the two squarefree tests
@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # SUITES and DEFAULT_PRIMES are declared in the package, where the CLI reads
 # them without loading this module
-from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, ffield, poincare, virtual
-from .ring import ONE, LaurentPoly, TruncSeries, _natural
+from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, ffield, kronecker, poincare, virtual
+from .ring import LaurentPoly, TruncSeries, _natural
 
 
 class CheckResult(NamedTuple):
@@ -252,10 +252,11 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-# One-puncture steps: each carries series of suite_series from k to k + 1
+# One-puncture steps: each carries a series of suite_series from k to k + 1
 # punctures by running sums and differences, with no series divided.  The
-# raw and simplified virtual forms each have their own step, so no code
-# builds both.
+# Napolitano chain and the raw virtual form are carried as Kronecker ints
+# (confpoly.kronecker), the simplified form on ring, and the pyramidal and
+# stable series as int rows, so no code builds two forms that are compared.
 
 
 def simplified_step(s: TruncSeries) -> TruncSeries:
@@ -267,22 +268,11 @@ def simplified_step(s: TruncSeries) -> TruncSeries:
     return TruncSeries(s.order, out)
 
 
-def raw_step(s: TruncSeries) -> TruncSeries:
-    """getzler_series_raw from k to k + 1: multiply by (1 - y), that is
-    d_n = c_n - c_(n-1), then by 1/(1 - y^2), that is c'_n = d_n + c'_(n-2)."""
-    c = s.coeffs
-    out: list[LaurentPoly] = []
-    for n in range(len(c)):
-        d = c[n] + -c[n - 1] if n else c[n]
-        out.append(d + out[n - 2] if n >= 2 else d)
-    return TruncSeries(s.order, out)
-
-
-def running_sum_step(s: TruncSeries) -> TruncSeries:
+def running_sum_step(row: list[int]) -> list[int]:
     """Multiply by 1/(1 - y), the running sum of the coefficients: carries the
     pyramidal 1/(1 - y)^(k+1) and the stable (1 + y)/(1 - y)^k to k + 1.  Each
     is checked against its own formula, never against the other."""
-    return TruncSeries(s.order, accumulate(s.coeffs))
+    return list(accumulate(row))
 
 
 def suite_series(scope: Scope) -> Iterator[Cell]:
@@ -290,18 +280,30 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     replaces both the order and the shape bound.
 
     ``unordered_series(k)`` is built for every k and checked against the
-    Napolitano chain.  The raw and simplified virtual series are carried
-    from k = 0, each by its own step, and the pyramidal and stable
-    generating functions by :func:`running_sum_step`.  At the last k, the
-    public raw and simplified routes are compared with each other and then
-    with the carried series."""
+    closed form and the Napolitano chain.  The chain and the raw and
+    simplified virtual series are carried from k = 0, each by its own
+    step, and the pyramidal and stable generating functions by
+    :func:`running_sum_step`.  The chain and the raw form are Kronecker
+    ints at x = 2^b, b from the last k, compared with a ring series by
+    encoding it.  At the last k, the public raw and simplified routes are
+    compared with each other and then with the carried series."""
     order, shape_max_n = scope.n(12), scope.n(10)
     ks = scope.ks(6)
+    bits = kronecker.bit_width(ks[-1], order)
     # (k, chain, raw, simplified, pyramidal, stable): made at k = 0 by the
     # first k's cells and carried up to each asked-for k by the steps alone,
     # one call each per k, so a wrong step at some k shows there first and
     # at every k after it
     carried = None
+
+    def same(u, v) -> bool:
+        """Two ring polynomials, or one and a Kronecker int it is encoded to meet."""
+        if type(u) is int:
+            u, v = v, u
+        return u == v if type(v) is not int else kronecker.encode(u, bits) == v
+
+    def shown(v) -> LaurentPoly:
+        return LaurentPoly(kronecker.decode(v, bits)) if type(v) is int else v
 
     def cells(k: int) -> Iterator[Cell]:
         nonlocal carried
@@ -309,16 +311,23 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         if carried is None:
             carried = (
                 0,
-                poincare.unordered_series(0, order),
-                virtual.getzler_series_raw(0, order),
+                kronecker.chain_base(order, bits),
+                kronecker.raw_base(order, bits),
                 virtual.virtual_unordered_series(0, order),
-                TruncSeries(order, [ONE, -1]).inverse(),
-                TruncSeries(order, [ONE, ONE]),
+                [1] * (order + 1),  # 1/(1 - y)
+                [1, 1][: order + 1] + [0] * (order - 1),  # 1 + y
             )
         while carried[0] < k:
-            steps = (poincare.napolitano_step, raw_step, simplified_step) + (running_sum_step,) * 2
-            carried = (carried[0] + 1, *(step(s) for step, s in zip(steps, carried[1:])))
-        _, stepped, raw, simplified, pyramidal_gf, stable_gf = carried
+            _, chain, raw, simplified, pyramidal, stable = carried
+            carried = (
+                carried[0] + 1,
+                kronecker.chain_step(chain, bits),
+                kronecker.raw_step(raw),
+                simplified_step(simplified),
+                running_sum_step(pyramidal),
+                running_sum_step(stable),
+            )
+        _, chain, raw, simplified, pyramidal_gf, stable_gf = carried
         # the forms compared, in order; past k = 0 the public routes are
         # rebuilt at the last k alone, and checked against the carried forms
         forms = [(("raw form", raw), ("simplified form", simplified))]
@@ -332,19 +341,18 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             ]
 
         def three_way(k: int, n: int) -> tuple[bool, str]:
-            a = poincare.betti_unordered(k, n)
-            b, c = q_series[n], stepped[n]
-            if a == b == c:
+            a, s = poincare.betti_unordered(k, n), q_series[n]
+            if a == s and same(s, chain[n]):
                 return True, ""
-            return False, f"closed form {a}, series {b}, iterated step {c}"
+            return False, f"closed form {a}, series {s}, iterated step {shown(chain[n])}"
 
         for n in range(order + 1):
             yield _cell("unordered", k, n, three_way, k, n)
 
         def forms_agree(n: int) -> tuple[bool, str]:
             for (name_a, a), (name_b, b) in forms:
-                if a[n] != b[n]:
-                    return False, f"{name_a} {a[n]} != {name_b} {b[n]}"
+                if not same(a[n], b[n]):
+                    return False, f"{name_a} {shown(a[n])} != {name_b} {shown(b[n])}"
             return True, ""
 
         for n in range(order + 1):
@@ -358,8 +366,8 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             yield _cell("unordered", k, n, lambda: _virtual_shape(simplified[n], n))
             yield _cell("ordered", k, n, _ordered_shape, k, n)
 
-        def coefficient(gf: TruncSeries, label: str, formula: Callable, i: int) -> tuple[bool, str]:
-            got, expected = gf[i], LaurentPoly({0: formula(k, i)})
+        def coefficient(gf: list[int], label: str, formula: Callable, i: int) -> tuple[bool, str]:
+            got, expected = gf[i], formula(k, i)
             if got == expected:
                 return True, ""
             return False, f"{label} coefficient {got} != {expected}"

@@ -72,19 +72,21 @@ def field_product_by_hand(q, *factors):
 
 
 def assert_divides_by_factors(monkeypatch, route, k=32, order=64):
-    """``route(k, order)`` makes at most 3 250 term products (3 218 measured
-    for the raw virtual route at the defaults, 2 402 and 2 401 for the other
+    """``route(k, order)`` makes at most 3 250 term products (3 217 measured
+    for the raw virtual route at the defaults, 2 400 for each of the other
     two; a dense denominator inverted whole costs about 88 000), calls no
     ``inverse``, and divides only by series whose coefficients have at most
     one term.  A term product multiplies two nonzero coefficients, in
-    ``_dot`` or in the integer series kernel ``_int_dot``."""
+    ``_dot`` (one per term of q in each row (e, c, q), c a nonzero term) or
+    in the integer series kernel ``_int_dot``."""
     dot, int_dot, divide = ring._dot, ring._int_dot, TruncSeries.__truediv__
     products, divisors = [0], []
 
-    def counting_dot(pairs):
-        pairs = list(pairs)
-        products[0] += sum(len(a.support()) * len(b.support()) for a, b in pairs)
-        return dot(pairs)
+    def counting_dot(rows):
+        rows = list(rows)
+        assert all(c for _, c, _ in rows), rows
+        products[0] += sum(len(q) for _, _, q in rows)
+        return dot(rows)
 
     def counting_int_dot(xs, ys):
         products[0] += sum(1 for x, y in zip(xs, ys) if x and y)

@@ -373,6 +373,39 @@ def test_reader_closing_the_pipe_ends_the_run_quietly(argv):
     assert err == b""
 
 
+def test_check_lines_survive_a_signal_handler():
+    # a timer signal with a Python handler interrupts the writes of a
+    # verify run whose check lines far outgrow a pipe, read slowly: every
+    # byte still arrives (one large write can come out short on CPython 3.11)
+    script = (
+        "import signal, sys\n"
+        "from confpoly import cli\n"
+        "signal.signal(signal.SIGALRM, lambda *args: None)\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0.0002, 0.0002)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["verify", "series", "--max-k", "16", "--max-n", "32"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plain = subprocess.run(
+        [sys.executable, "-m", "confpoly.cli", *argv],
+        env=env, capture_output=True, timeout=120,
+    ).stdout
+    for _ in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        chunks = []
+        while chunk := proc.stdout.read(4096):
+            chunks.append(chunk)
+            time.sleep(0.0001)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert b"".join(chunks) == plain
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

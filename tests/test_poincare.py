@@ -37,6 +37,13 @@ class TestBettiUnordered:
     def test_plane_three_points(self):
         assert betti_unordered(0, 3) == ONE + X
 
+    def test_plane_keeps_no_zero_rank(self):
+        # P(-1, i) = 0 for i > 0: the k = 0 ranks past x^1 are 0, and are not stored
+        table = duality.FAMILIES["standard-unordered"](0, 8)
+        for n in range(9):
+            support = (0,) if n < 2 else (0, 1)
+            assert betti_unordered(0, n).support() == table[n].support() == support, n
+
     def test_table_agrees_with_the_per_n_route(self):
         # the standard-unordered family builds its table from one pyramidal
         # row; the per-n route builds each polynomial on its own

@@ -178,22 +178,32 @@ class TestLaurentMul:
 
 
 class TestDot:
-    @given(st.lists(st.tuples(polys, polys), max_size=5), st.randoms())
-    def test_any_pair_order(self, pairs, rnd):
+    # rows (e, c, q) of _dot: the monomial c * x^e, c nonzero, and a polynomial
+    rows = st.lists(
+        st.tuples(st.integers(-5, 5), st.integers(-9, 9).filter(bool), polys), max_size=5
+    )
+
+    @given(rows, st.randoms())
+    def test_any_pair_order(self, rows, rnd):
         expected = {}
-        for a, b in pairs:
-            (product,) = series_product_by_hand(TruncSeries(0, [a]), TruncSeries(0, [b]))
+        for e, c, q in rows:
+            monomial = TruncSeries(0, [P({e: c})])
+            (product,) = series_product_by_hand(monomial, TruncSeries(0, [q]))
             for e, c in product.items():
                 expected[e] = expected.get(e, 0) + c
-        shuffled = pairs.copy()
+        rows = [(e, c, q._terms) for e, c, q in rows]
+        shuffled = rows.copy()
         rnd.shuffle(shuffled)
-        assert ring._dot(shuffled) == ring._dot(pairs) == LaurentPoly(expected)
+        assert ring._dot(shuffled) == ring._dot(rows) == LaurentPoly(expected)
 
     def test_cancelled_terms_are_not_kept(self):
-        # across pairs, within one pair, and in the pair that fills the sum
-        assert ring._dot([(X, ONE), (-X, ONE)]).support() == ()
-        assert ring._dot([(P({0: 1, 1: 1}), P({0: 1, 1: -1}))]).support() == (0, 2)
-        assert ring._dot([(P({0: 1, 1: 1}), X), (ONE, P({1: -1, 2: -1}))]).support() == ()
+        # across rows, across the terms of one operand, in the row that
+        # fills the sum, and in a sum refilled after it cancelled
+        assert ring._dot([(1, 1, {0: 1}), (1, -1, {0: 1})]).support() == ()
+        assert ring._dot([(0, 1, {0: 1, 1: -1}), (1, 1, {0: 1, 1: -1})]).support() == (0, 2)
+        assert ring._dot([(1, 1, {0: 1, 1: 1}), (0, 1, {1: -1, 2: -1})]).support() == ()
+        refilled = ring._dot([(0, 1, {1: 1}), (0, -1, {1: 1}), (1, 2, {2: 3})])
+        assert refilled == P({3: 6})
         assert ring._dot([]).support() == ()
 
 

@@ -146,7 +146,7 @@ print(json.dumps(digests))
 
 # the modules that a table or series call must not load, and which of them
 # are loaded after each call, the calls made in this order in one process
-HEAVY = ("confpoly.ffield", "confpoly.verify", "dataclasses", "json")
+HEAVY = ("confpoly.ffield", "confpoly.kronecker", "confpoly.verify", "dataclasses", "json")
 FOOTPRINT = {
     "series --family virtual-unordered -k 3 --order 4": [],
     "table betti -k 2 --max-n 3 --format csv": [],
@@ -154,7 +154,7 @@ FOOTPRINT = {
     # the CLI writes the JSON table itself
     "table betti -k 2 --max-n 3 --format json": [],
     # the scope checks its primes against the oracle's field policy
-    "verify series --max-k 1 --max-n 2": ["confpoly.ffield", "confpoly.verify"],
+    "verify series --max-k 1 --max-n 2": ["confpoly.ffield", "confpoly.kronecker", "confpoly.verify"],
 }
 
 
@@ -202,6 +202,10 @@ KEEP = {
     "ffield.FieldPoly.__init__": "failure path: _monic_at builds the offender",
     "ffield.FieldPoly.__repr__": "failure path: the offender in a FAIL detail",
     "verify._crashed": "failure path: a cell or a k that raised",
+    "kronecker.decode": "failure path: a Kronecker int in a FAIL detail",
+    "poincare.napolitano_step": "criterion 3 iterates it; the ring side of the chain",
+    "ring.TruncSeries.inverse": "perfbench tracer target",
+    "ring.LaurentPoly.__mul__": "perfbench tracer target; the ring-axiom tests use it",
     "ffield.clear_caches": "criterion 9 empties the tables after patching what builds them",
     "ffield.FieldPoly.__eq__": "value dunder",
     "ffield.FieldPoly.__hash__": "value dunder",

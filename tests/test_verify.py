@@ -14,11 +14,12 @@ import pytest
 import confpoly.combinatorics as combinatorics
 import confpoly.duality as duality
 import confpoly.ffield as ffield
+import confpoly.kronecker as kronecker
 import confpoly.poincare as poincare
 import confpoly.verify as verify
 import confpoly.virtual as virtual
 from confpoly import cli
-from confpoly.ring import X, LaurentPoly, TruncSeries
+from confpoly.ring import LaurentPoly, TruncSeries
 from confpoly.verify import SUITES, CheckResult, Scope, run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -374,32 +375,33 @@ class TestFailureNaming:
 
 
 class TestNapolitanoChain:
-    """verify series carries one chain of napolitano_step calls from k = 0."""
+    """verify series carries one chain of Kronecker steps from k = 0."""
 
     @staticmethod
     def _record_steps(monkeypatch, wrong_call=None):
-        # (input, output) of every step; call number wrong_call bumps the
-        # y^2 coefficient of its output
+        # (input, output, width) of every step; call number wrong_call adds
+        # x to the y^2 coefficient of its output
         steps = []
-        real = poincare.napolitano_step
+        real = kronecker.chain_step
 
-        def recorded(q):
-            out = real(q)
+        def recorded(row, b):
+            out = real(row, b)
             if len(steps) + 1 == wrong_call:
-                coeffs = list(out.coeffs)
-                coeffs[2] = coeffs[2] + X
-                out = TruncSeries(out.order, coeffs)
-            steps.append((q, out))
+                out[2] += 1 << b
+            steps.append((row, out, b))
             return out
 
-        monkeypatch.setattr(poincare, "napolitano_step", recorded)
+        monkeypatch.setattr(kronecker, "chain_step", recorded)
         return steps
 
     @staticmethod
-    def _assert_one_chain(steps, order):
-        assert steps[0][0] == poincare.unordered_series(0, order)
-        for (_, previous), (q, _) in zip(steps, steps[1:]):
-            assert q is previous
+    def _assert_one_chain(steps, order, last_k):
+        b = kronecker.bit_width(last_k, order)
+        base = [kronecker.encode(c, b) for c in poincare.unordered_series(0, order).coeffs]
+        assert steps[0][0] == base
+        for (_, previous, _), (row, _, _) in zip(steps, steps[1:]):
+            assert row is previous
+        assert {width for _, _, width in steps} == {b}
 
     @pytest.mark.parametrize("max_k", [0, 1, 5, 16])
     def test_one_step_per_k(self, monkeypatch, capsys, max_k):
@@ -408,7 +410,7 @@ class TestNapolitanoChain:
         capsys.readouterr()
         assert len(steps) == max_k
         if steps:
-            self._assert_one_chain(steps, 6)
+            self._assert_one_chain(steps, 6, max_k)
 
     @pytest.mark.parametrize("k", [0, 1, 7])
     def test_single_k_steps_up_from_zero(self, monkeypatch, capsys, k):
@@ -417,7 +419,7 @@ class TestNapolitanoChain:
         capsys.readouterr()
         assert len(steps) == k
         if steps:
-            self._assert_one_chain(steps, 6)
+            self._assert_one_chain(steps, 6, k)
 
     def test_wrong_step_names_its_k_first(self, monkeypatch, capsys):
         self._record_steps(monkeypatch, wrong_call=3)
@@ -434,53 +436,59 @@ class TestNapolitanoChain:
 
 
 class TestCarriedSeries:
-    """verify series carries four more series from k = 0: the raw and the
-    simplified virtual forms each by its own step, the pyramidal and the
-    stable series both by running_sum_step."""
+    """verify series carries four more series from k = 0: the raw virtual
+    form as Kronecker ints, the simplified one on ring, and the pyramidal
+    and stable series as int rows, both by running_sum_step."""
 
-    # the step of each carried series: (function, its calls per k, which of
-    # them carries this series); running_sum_step carries the pyramidal
-    # series first at each k, then the stable one
+    # the step of each carried series: (module, function, its calls per k,
+    # which of them carries this series); running_sum_step carries the
+    # pyramidal series first at each k, then the stable one
     STEPS = {
-        "raw_step": ("raw_step", 1, 0),
-        "simplified_step": ("simplified_step", 1, 0),
-        "pyramidal_step": ("running_sum_step", 2, 0),
-        "stable_step": ("running_sum_step", 2, 1),
+        "raw_step": (kronecker, "raw_step", 1, 0),
+        "simplified_step": (verify, "simplified_step", 1, 0),
+        "pyramidal_step": (verify, "running_sum_step", 2, 0),
+        "stable_step": (verify, "running_sum_step", 2, 1),
     }
 
     def test_steps_match_per_k_builds(self):
         order = 32
+        b = kronecker.bit_width(16, order)
         minus_y = TruncSeries(order, [1, -1])
+
+        def ints(s):
+            return [c.coefficient(0) for c in s.coeffs]
+
         builds = {
-            "raw_step": lambda k: virtual.getzler_series_raw(k, order),
+            "raw_step": lambda k: [
+                kronecker.encode(c, b) for c in virtual.getzler_series_raw(k, order).coeffs
+            ],
             "simplified_step": lambda k: virtual.virtual_unordered_series(k, order),
-            "pyramidal_step": lambda k: (minus_y ** (k + 1)).inverse(),
-            "stable_step": lambda k: TruncSeries(order, [1, 1]) * (minus_y**k).inverse(),
+            "pyramidal_step": lambda k: ints((minus_y ** (k + 1)).inverse()),
+            "stable_step": lambda k: ints(TruncSeries(order, [1, 1]) * (minus_y**k).inverse()),
         }
         for name, build in builds.items():
-            step, carried = getattr(verify, self.STEPS[name][0]), build(0)
+            module, function, _, _ = self.STEPS[name]
+            step, carried = getattr(module, function), build(0)
             for k in range(1, 17):
                 carried = step(carried)
                 assert carried == build(k), (name, k)
 
     def test_steps_divide_no_series(self, monkeypatch):
-        """From the k = 0 bases on, each one-puncture step carries its series
-        to k = 6 with series division, inversion and powers patched to raise,
-        so a wrong division or power kernel cannot pass both the routes and
-        the steps."""
+        """From the k = 0 bases on, each one-puncture step left on ring, and
+        the running sums on int rows, carry their series to k = 6 with
+        series division, inversion and powers patched to raise, so a wrong
+        division or power kernel cannot pass both the routes and the steps.
+        The Kronecker steps run no ring code at all (test_kronecker.py)."""
         order, last_k = 12, 6
         pyramidal = [combinatorics.pyramidal(last_k, i) for i in range(order + 1)]
         stable = [poincare.stable_betti(last_k, j) for j in range(order + 1)]
         carried = [  # (step, the k = 0 base, the public series at the last k)
             (poincare.napolitano_step, poincare.unordered_series(0, order),
              poincare.unordered_series(last_k, order)),
-            (verify.raw_step, virtual.getzler_series_raw(0, order),
-             virtual.getzler_series_raw(last_k, order)),
             (verify.simplified_step, virtual.virtual_unordered_series(0, order),
              virtual.virtual_unordered_series(last_k, order)),
-            (verify.running_sum_step, TruncSeries(order, [1, -1]).inverse(),
-             TruncSeries(order, pyramidal)),
-            (verify.running_sum_step, TruncSeries(order, [1, 1]), TruncSeries(order, stable)),
+            (verify.running_sum_step, [1] * (order + 1), pyramidal),
+            (verify.running_sum_step, [1, 1] + [0] * (order - 1), stable),
         ]
 
         def refused(*args):
@@ -498,7 +506,7 @@ class TestCarriedSeries:
     @staticmethod
     def _count_calls(monkeypatch, module, name, wrong_call=None):
         # the arguments of every call; call number wrong_call adds 1 to the
-        # y^2 coefficient of its output
+        # y^2 coefficient of its output, a series or a row of ints
         calls = []
         real = getattr(module, name)
 
@@ -506,9 +514,12 @@ class TestCarriedSeries:
             out = real(*args)
             calls.append(args)
             if len(calls) == wrong_call:
-                coeffs = list(out.coeffs)
-                coeffs[2] = coeffs[2] + 1
-                out = TruncSeries(out.order, coeffs)
+                if isinstance(out, TruncSeries):
+                    coeffs = list(out.coeffs)
+                    coeffs[2] = coeffs[2] + 1
+                    out = TruncSeries(out.order, coeffs)
+                else:
+                    out[2] += 1
             return out
 
         monkeypatch.setattr(module, name, recorded)
@@ -526,26 +537,28 @@ class TestCarriedSeries:
         ids=["max-k-0", "max-k-1", "max-k-5", "max-k-16", "k-7"],
     )
     def test_public_routes_at_first_and_last_k(self, monkeypatch, capsys, argv, last_k):
-        public = [
+        # the simplified route seeds its carried form at k = 0; the raw form
+        # is seeded ring-free, so its public route runs at the last k alone
+        raw, simplified = (
             self._count_calls(monkeypatch, virtual, name)
             for name in ("getzler_series_raw", "virtual_unordered_series")
-        ]
+        )
         steps = {
-            name: self._count_calls(monkeypatch, verify, name)
-            for name in dict.fromkeys(function for function, _, _ in self.STEPS.values())
+            (module, function): self._count_calls(monkeypatch, module, function)
+            for module, function, _, _ in self.STEPS.values()
         }
         assert cli.main(["verify", "series", *argv, "--max-n", "6"]) == 0
         capsys.readouterr()
-        for calls in public:
-            assert calls == [(k, 6) for k in sorted({0, last_k})]
-        for name, per_k, _ in self.STEPS.values():
-            assert len(steps[name]) == per_k * last_k
+        assert raw == [(k, 6) for k in sorted({last_k} - {0})]
+        assert simplified == [(k, 6) for k in sorted({0, last_k})]
+        for module, function, per_k, _ in self.STEPS.values():
+            assert len(steps[module, function]) == per_k * last_k
 
     @pytest.mark.parametrize("name", STEPS)
     @pytest.mark.parametrize("j", [1, 3, 6])
     def test_wrong_step_names_its_k_first(self, monkeypatch, capsys, name, j):
-        function, per_k, nth = self.STEPS[name]
-        self._count_calls(monkeypatch, verify, function, wrong_call=per_k * (j - 1) + nth + 1)
+        module, function, per_k, nth = self.STEPS[name]
+        self._count_calls(monkeypatch, module, function, wrong_call=per_k * (j - 1) + nth + 1)
         assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
         out = capsys.readouterr().out
         first = next(line for line in out.splitlines() if line.startswith("first failure:"))
@@ -568,7 +581,8 @@ class TestCarriedSeries:
     )
     def test_last_k_names_the_carried_form(self, monkeypatch, name, detail):
         # the public routes agree with each other, so the carried form is named
-        self._count_calls(monkeypatch, verify, name, wrong_call=6)
+        module, function, _, _ = self.STEPS[name]
+        self._count_calls(monkeypatch, module, function, wrong_call=6)
         summary, _ = run_suites(["series"], Scope(max_k=6, max_n=6))
         f = summary.first_failure
         assert (f.space, f.k, f.n, f.detail) == ("unordered", 6, 2, detail)
@@ -579,9 +593,9 @@ class TestCarriedSeries:
     @pytest.mark.parametrize(
         "module, name, crashes, first_k",
         [
-            (verify, "raw_step", lambda call, args: call > 2, 3),
+            (kronecker, "raw_step", lambda call, args: call > 2, 3),
             (verify, "running_sum_step", lambda call, args: call > 2 * 2, 3),
-            (virtual, "getzler_series_raw", lambda call, args: args[0] == 0, 0),
+            (kronecker, "raw_base", lambda call, args: True, 0),
         ],
         ids=["raw-step", "running-sum-step", "raw-base"],
     )
