@@ -14,6 +14,8 @@ routes), ``confpoly.duality`` (the substitution and the family table),
 check suites) and ``confpoly.cli`` (the command line).
 """
 
+from math import isqrt
+
 __version__ = "0.1.0"
 
 # declared here, where the CLI finds them without loading confpoly.verify;
@@ -21,3 +23,23 @@ __version__ = "0.1.0"
 SUITES = ("recursions", "series", "duality", "pointcount", "euler")
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
+
+# the oracle's field policy and its budget error, declared here so that
+# confpoly.verify checks --primes and the CLI reports a run over the budget
+# without loading the oracle confpoly.ffield, which uses both
+FIELD_SIZE_LIMIT = 100
+
+
+class TooLargeError(ValueError):
+    """The requested enumeration exceeds ``ffield.ENUMERATION_BUDGET``."""
+
+
+def check_field_size(q: int) -> None:
+    """Raise ValueError unless q is a prime no larger than FIELD_SIZE_LIMIT."""
+    from .ring import _natural  # not at the top: confpoly.kronecker loads no ring
+
+    _natural("q", q)
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"{q} is not prime")
+    if q > FIELD_SIZE_LIMIT:
+        raise ValueError(f"q={q} exceeds the size policy ({FIELD_SIZE_LIMIT})")

@@ -14,9 +14,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-# verify and ffield, the point-count oracle, are imported by the one
-# command that runs them, so a table or series call does not load them
-from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, virtual
+# verify, and through it ffield, the point-count oracle, are imported by
+# the one command that runs them, so a table or series call loads neither
+from . import DEFAULT_PRIMES, SUITES, TooLargeError, combinatorics, duality, virtual
 
 if TYPE_CHECKING:
     from . import verify
@@ -96,6 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(lines: Iterable[str]) -> None:
+    """Write the lines, each ended by a newline, to standard out 4096
+    characters (4 KB of ASCII) at a time.  The buffer of a pipe's standard
+    out is 4 KB (its st_blksize on Linux); a larger write goes past it in
+    one system call, which comes out short, and loses bytes, when a signal
+    handler interrupts it (CPython 3.11).  The lines are joined first, so
+    an answer costs a few writes, not one a line."""
+    text = "\n".join(lines) + "\n"
+    for start in range(0, len(text), 4096):
+        sys.stdout.write(text[start : start + 4096])
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -116,8 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _cmd_table_pyramidal(parser, args) -> int:
     rows = combinatorics.pyramidal_rows(args.max_k, args.max_i)
     if args.format == "csv":
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        _write(",".join(str(v) for v in row) for row in rows)
     else:
         _print_latex_table(
             "c|" + "c" * (args.max_i + 1),
@@ -138,10 +149,10 @@ def _cmd_table_betti(parser, args) -> int:
         return n + 1 if standard else 2 * n + 1
 
     if args.format == "csv":
-        print("\n".join(
+        _write(
             ",".join(poly.decimals(width(n))) if standard else str(poly)
             for n, poly in enumerate(polys)
-        ))
+        )
     elif args.format == "json":
         rows = ((n, *poly.decimal_row(width(n))) for n, poly in enumerate(polys))
         _print_json_table(k, "ranks" if standard else "coeffs", rows)
@@ -154,10 +165,10 @@ def _cmd_table_betti(parser, args) -> int:
 
 def _print_latex_table(cols: str, header: str, rows: Iterable[str]) -> None:
     """Print a LaTeX tabular: column spec, header row, a rule, the rows."""
-    print(
+    _write((
         rf"\begin{{tabular}}{{{cols}}}", rf"{header} \\", r"\midrule",
-        " \\\\\n".join(rows), r"\end{tabular}", sep="\n",
-    )
+        " \\\\\n".join(rows), r"\end{tabular}",
+    ))
 
 
 def _print_json_table(k: int, key: str, rows: Iterable[tuple[int, list[str], str]]) -> None:
@@ -171,14 +182,14 @@ def _print_json_table(k: int, key: str, rows: Iterable[tuple[int, list[str], str
         + f'"\n    ],\n    "poly": "{poly}"\n  }}'
         for n, cells, poly in rows
     )
-    print("[", objects, "]", sep="\n")
+    _write(("[", objects, "]"))
 
 
 # -- series -----------------------------------------------------------
 
 
 def _cmd_series(parser, args) -> int:
-    print("\n".join(map(str, duality.FAMILIES[args.family](args.k, args.order))))
+    _write(map(str, duality.FAMILIES[args.family](args.k, args.order)))
     return 0
 
 
@@ -201,7 +212,7 @@ def _format_check(c: "verify.CheckResult") -> str:
 
 
 def _cmd_verify(parser, args) -> int:
-    from . import ffield, verify
+    from . import verify
 
     suite = args.suite_pos or args.suite or "all"
     if args.suite_pos and args.suite and args.suite_pos != args.suite:
@@ -215,11 +226,9 @@ def _cmd_verify(parser, args) -> int:
 
     try:
         summary, results = verify.run_suites([suite], scope)
-    except ffield.TooLargeError as exc:
+    except TooLargeError as exc:
         parser.error(f"{exc}; lower --max-n or drop primes from --primes")
 
-    # one writelines call, passed on in 8 KB chunks: one large write to a pipe
-    # can come out short when a signal handler interrupts it (CPython 3.11)
     lines = []
     if suite == "all":
         for name in summary.suites:
@@ -234,7 +243,7 @@ def _cmd_verify(parser, args) -> int:
     if summary.first_failure is not None:
         lines.append(f"first failure: {_format_check(summary.first_failure)}")
     lines.append(f"result: {'PASS' if summary.ok else 'FAIL'}")
-    sys.stdout.writelines(f"{line}\n" for line in lines)
+    _write(lines)
     per_suite = ", ".join(
         f"{name} {seconds:.2f}s" for name, seconds in zip(summary.suites, summary.suite_durations)
     )

@@ -34,10 +34,15 @@ long-division kernel ``_divide`` that ``is_squarefree`` uses too.
 The gcd squarefree test is cross-checked by a second, independent one: a
 sieve that marks every product g^2*h (g monic of degree >= 1), which is
 exactly the set of non-squarefree monic polynomials (the Z(y)/Z(y^2)
-structure of the squarefree count).  The sieve multiplies coefficient
-lists with a product loop of its own and shares no helper with the gcd
-test.  ``FieldPoly`` is left as the reference test's polynomial type and
-the name of an offender when the two tests disagree.
+structure of the squarefree count).  For each degree of g the sieve holds
+the larger of the two sets, the squares g^2 or the cofactors h, as one
+byte column per coefficient, and multiplies each member of the other set
+into all of it at once: ``bytes.translate`` by mod-q multiply tables
+scales the columns, one int add per term sums them lane by lane, and a
+Horner pass turns the lanes into indices.  It only multiplies, and shares
+no helper with the gcd test.  ``FieldPoly`` is left as the reference
+test's polynomial type and the name of an offender when the two tests
+disagree.
 
 Everything here is exhaustive enumeration on purpose.  No counting
 formula from the other modules is allowed in; the module's entire value
@@ -47,26 +52,21 @@ is its independence.
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import Counter
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import virtual
+from . import TooLargeError, check_field_size, virtual
 from .ring import _natural
 
-# q^n per enumeration, and summed over a pointcount run: about 2 s of work
-# (`verify pointcount --max-n 7`, 1 061 991 polynomials: 1.9-2.8 s).
-# A degree-7 polynomial over F_7 costs ~1 us in its table (one group run
-# per orbit under x -> u*x + a, the smallest roots and the orbit walk) and
-# ~0.6 us more in the square sieve; the tuple count visits only the q!/(q-n)!
+# q^n per enumeration, and summed over a pointcount run: about 0.7 s of
+# work (`verify pointcount --max-n 7`, 1 061 991 polynomials).  A degree-7
+# polynomial over F_7 costs ~0.6 us in its table (one group run per orbit
+# under x -> u*x + a, the smallest roots and the orbit walk) and ~0.04 us
+# more in the square sieve; the tuple count visits only the q!/(q-n)!
 # injective tuples, 5 040 for (7, 7) (Python 3.11, 2-core x86-64)
 ENUMERATION_BUDGET = 1_200_000
-
-FIELD_SIZE_LIMIT = 100
-
-
-class TooLargeError(ValueError):
-    """The requested enumeration exceeds the tuple budget."""
-
 
 def _tuples(q: int, n: int) -> int:
     """q^n, or one past the budget where n alone puts q^n over it: q >= 2,
@@ -94,23 +94,13 @@ def _check_size(q: int, n: int) -> None:
         raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class _PrimeFieldFields(NamedTuple):
     q: int
 
 
 class PrimeField(_PrimeFieldFields):
-    """The field with q elements, q a small prime (policy: q <= 100)."""
+    """The field with q elements, q a small prime (the package's
+    ``check_field_size`` policy: q <= 100)."""
 
     __slots__ = ()
 
@@ -122,11 +112,7 @@ class PrimeField(_PrimeFieldFields):
         """The checked constructor: ``PrimeField(q)`` and ``_replace`` both
         come through it."""
         (q,) = fields
-        _natural("q", q)
-        if not _is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        if q > FIELD_SIZE_LIMIT:
-            raise ValueError(f"q={q} exceeds the size policy ({FIELD_SIZE_LIMIT})")
+        check_field_size(q)
         return super()._make((q,))
 
 
@@ -264,36 +250,96 @@ def _monic_at(fld: PrimeField, n: int, index: int) -> FieldPoly:
     return FieldPoly(fld, low[::-1] + [1])
 
 
-def _square_multiples(q: int, n: int) -> Iterator[int]:
-    """The index, in the :func:`monic_polys` order, of every product g*g*h
-    with g monic of degree d in 1..n//2 and h monic of degree n - 2d,
-    repeats included.  These are exactly the monic degree-n polynomials
-    that are not squarefree."""
+# bytes per member in a product column: an index below q^n <= 2^32 fits
+_LANE = 4
+
+
+def _times_every(columns: list[bytes], q: int) -> Callable[[list[int]], memoryview]:
+    """A function that multiplies one monic ``factor`` (reduced mod q) into
+    every member h of a set of monic polynomials of one degree, and returns
+    the index of each product factor * h in the :func:`monic_polys` order,
+    in member order or its reverse.  ``columns[i]`` holds coefficient i of
+    every member, one byte a member, the last column (the leading 1s)
+    included.
+
+    Each column is scaled once by each c in F_q with one ``bytes.translate``
+    by a mod-q multiply table, and spread to one ``_LANE``-byte lane per
+    member of one int.  A product coefficient is then a sum of scaled
+    columns, one int add each.  At most min(len(columns), len(factor))
+    residues meet in a lane, so its low byte holds the sum, and one
+    ``translate`` per coefficient reduces it mod q.  A Horner pass over the
+    coefficients, constant term first, makes each lane an index."""
+    top, width = len(columns) - 1, _LANE * len(columns[0])
+    residues = bytes(v % q for v in range(256))
+    tables = [bytes((c * v) % q for v in range(q)).ljust(256, b"\0") for c in range(q)]
+    scaled = []
+    for column in columns:
+        row = []
+        for table in tables:
+            lanes = bytearray(width)
+            lanes[::_LANE] = column.translate(table)
+            row.append(int.from_bytes(lanes, "little"))
+        scaled.append(row)
+
+    def indices(factor: list[int]) -> memoryview:
+        if min(len(columns), len(factor)) * (q - 1) > 255:
+            raise ValueError(f"a sum of residues mod {q} can pass a byte")
+        index = 0
+        for m in range(top + len(factor) - 1):
+            total = sum(
+                scaled[i][factor[m - i]]
+                for i in range(max(0, m - len(factor) + 1), min(top, m) + 1)
+            )
+            lanes = bytearray(width)
+            lanes[::_LANE] = total.to_bytes(width, "little")[::_LANE].translate(residues)
+            index = index * q + int.from_bytes(lanes, "little")
+        # the lanes in the machine's byte order; on a big-endian one the
+        # members come reversed, which a set of marks does not see
+        return memoryview(index.to_bytes(width, sys.byteorder)).cast("I")
+
+    return indices
+
+
+def _square_sieve(q: int, n: int) -> bytes:
+    """Byte i is 1 if the i-th monic degree-n polynomial is a multiple of a
+    square, 0 if it is squarefree: it marks every product g*g*h with g
+    monic of degree d in 1..n//2 and h monic of degree n - 2d.
+
+    For each d the larger of the two sets, the q^d squares g*g (made by a
+    product loop of their own) or the q^(n-2d) cofactors h (the cofactors
+    on a tie), is held as columns, and :func:`_times_every` multiplies
+    each member of the smaller set into all of it at once.  A cofactor
+    column is a repeat pattern, as the levels of :func:`_smallest_roots`
+    are.  Only multiplication, so it shares no code with the gcd test it
+    cross-checks."""
+    sieve = bytearray(q**n)
 
     def times(a, b) -> list[int]:
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return out
+        return [c % q for c in out]
 
     for d in range(1, n // 2 + 1):
-        for low in itertools.product(range(q), repeat=d):
-            square = times((*low, 1), (*low, 1))
-            for high in itertools.product(range(q), repeat=n - 2 * d):
-                index = 0
-                for c in times(square, (*high, 1))[:-1]:
-                    index = index * q + c % q
-                yield index
-
-
-def _square_sieve(q: int, n: int) -> bytes:
-    """Byte i is 1 if the i-th monic degree-n polynomial is a multiple of a
-    square, 0 if it is squarefree.  Built by multiplying coefficient lists,
-    so it shares no code with the gcd test it cross-checks."""
-    sieve = bytearray(q**n)
-    for i in _square_multiples(q, n):
-        sieve[i] = 1
+        m = n - 2 * d
+        lows = itertools.product(range(q), repeat=d)
+        squares = [times((*low, 1), (*low, 1)) for low in lows]
+        if d > m:
+            columns = [bytes(column) for column in zip(*squares)]
+            factors = [[*high, 1] for high in itertools.product(range(q), repeat=m)]
+        else:
+            # coefficient j of the i-th cofactor is digit j of i in base q,
+            # most significant first, as in the monic_polys order
+            columns = [
+                b"".join(bytes([c]) * q ** (m - 1 - j) for c in range(q)) * q**j
+                for j in range(m)
+            ] + [b"\1" * q**m]
+            factors = squares
+        products = _times_every(columns, q)
+        for factor in factors:
+            for i in products(factor):
+                sieve[i] = 1
     return bytes(sieve)
 
 
@@ -417,10 +463,10 @@ def _tuple_minima(q: int, n: int) -> tuple[int, ...]:
     """Entry m counts the n-tuples of pairwise-distinct field elements whose
     smallest entry is m; entry q counts the empty tuple.  Only the injective
     tuples are enumerated, each once, as the n-permutations of the field."""
-    counts = [0] * (q + 1)
-    for tup in itertools.permutations(range(q), n):
-        counts[min(tup, default=q)] += 1
-    return tuple(counts)
+    if n == 0:
+        return (0,) * q + (1,)
+    minima = Counter(map(min, itertools.permutations(range(q), n)))
+    return tuple(minima[m] for m in range(q + 1))
 
 
 def clear_caches() -> None:

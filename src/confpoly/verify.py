@@ -36,8 +36,10 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # SUITES and DEFAULT_PRIMES are declared in the package, where the CLI reads
-# them without loading this module
-from . import DEFAULT_PRIMES, SUITES, combinatorics, duality, ffield, kronecker, poincare, virtual
+# them without loading this module, and so is the field policy of --primes:
+# the oracle confpoly.ffield is loaded only when pointcount runs
+from . import DEFAULT_PRIMES, SUITES, check_field_size, combinatorics, duality, kronecker
+from . import poincare, virtual
 from .ring import LaurentPoly, TruncSeries, _natural
 
 
@@ -137,7 +139,7 @@ class Scope(_ScopeFields):
         if not primes or len({q for q in primes if type(q) is int}) < len(primes):
             raise ValueError(f"primes must be one or more distinct primes: {primes}")
         for q in primes:
-            ffield.PrimeField(q)  # raises for a non-prime or one past the size policy
+            check_field_size(q)
         if only_k is not None and max_k is not None:
             raise ValueError("only_k and max_k exclude each other")
         for name, value in (("max_k", max_k), ("max_n", max_n), ("only_k", only_k)):
@@ -413,6 +415,8 @@ POINTCOUNT_MAX_N = 5
 
 def suite_pointcount(scope: Scope) -> Iterator[Cell]:
     """k <= 3 (and k < q), n <= 5."""
+    from . import ffield
+
     max_n = scope.n(POINTCOUNT_MAX_N)
 
     def cells(q: int, k: int) -> Iterator[Cell]:
@@ -467,6 +471,8 @@ def run_suites(
 
     ran = tuple(s for s in SUITES if s in wanted or "all" in wanted)
     if "pointcount" in ran:
+        from . import ffield
+
         ffield.check_budget(scope.primes, scope.n(POINTCOUNT_MAX_N))
     results: list[CheckResult] = []
     suite_durations = []

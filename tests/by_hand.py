@@ -6,11 +6,13 @@ against them. The series product is
 a plain convolution over exponent dicts, against which ``TruncSeries``
 multiplication is checked. The product over F_q multiplies coefficient
 tuples, against which ``FieldPoly`` division and gcd and the squarefree
-test are checked. ``assert_divides_by_factors`` counts what a
+test are checked, and marking each product g*g*h of it in turn gives the
+square sieve's reference. ``assert_divides_by_factors`` counts what a
 generating-series route costs, so a test can bound it without timing
 anything.
 """
 
+import itertools
 from functools import cache
 
 import confpoly.ring as ring
@@ -69,6 +71,23 @@ def field_product_by_hand(q, *factors):
     while product and product[-1] == 0:
         product.pop()
     return tuple(product)
+
+
+def square_sieve_by_hand(q, n):
+    """Byte i is 1 if the i-th monic degree-n polynomial over F_q (its low
+    coefficients read as a base-q number, constant term most significant)
+    is a product g*g*h with g monic of degree >= 1, else 0: one product per
+    (g, h), repeats included."""
+    sieve = bytearray(q**n)
+    for d in range(1, n // 2 + 1):
+        for g in itertools.product(range(q), repeat=d):
+            square = field_product_by_hand(q, (*g, 1), (*g, 1))
+            for h in itertools.product(range(q), repeat=n - 2 * d):
+                index = 0
+                for c in field_product_by_hand(q, square, (*h, 1))[:-1]:
+                    index = index * q + c
+                sieve[index] = 1
+    return bytes(sieve)
 
 
 def assert_divides_by_factors(monkeypatch, route, k=32, order=64):

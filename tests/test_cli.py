@@ -373,10 +373,10 @@ def test_reader_closing_the_pipe_ends_the_run_quietly(argv):
     assert err == b""
 
 
-def test_check_lines_survive_a_signal_handler():
-    # a timer signal with a Python handler interrupts the writes of a
-    # verify run whose check lines far outgrow a pipe, read slowly: every
-    # byte still arrives (one large write can come out short on CPython 3.11)
+def _assert_survives_a_signal_handler(argv):
+    # a timer signal with a Python handler interrupts the writes of an answer
+    # that far outgrows a pipe, read slowly: every byte still arrives (one
+    # large write can come out short on CPython 3.11)
     script = (
         "import signal, sys\n"
         "from confpoly import cli\n"
@@ -386,7 +386,6 @@ def test_check_lines_survive_a_signal_handler():
         "signal.setitimer(signal.ITIMER_REAL, 0)\n"
         "sys.exit(code)\n"
     )
-    argv = ["verify", "series", "--max-k", "16", "--max-n", "32"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     plain = subprocess.run(
         [sys.executable, "-m", "confpoly.cli", *argv],
@@ -404,6 +403,21 @@ def test_check_lines_survive_a_signal_handler():
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert b"".join(chunks) == plain
+
+
+def test_check_lines_survive_a_signal_handler():
+    _assert_survives_a_signal_handler(["verify", "series", "--max-k", "16", "--max-n", "32"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "series --family standard-ordered -k 32 --order 64",
+        "table betti --space ordered -k 32 --max-n 64 --format json",
+    ],
+)
+def test_answers_survive_a_signal_handler(argv):
+    _assert_survives_a_signal_handler(argv.split())
 
 
 class TestDeterminism:

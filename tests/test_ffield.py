@@ -27,7 +27,7 @@ from confpoly.ffield import (
 )
 from confpoly.verify import Scope, run_suites
 
-from by_hand import field_product_by_hand
+from by_hand import field_product_by_hand, square_sieve_by_hand
 
 # count_squarefree_coprime(q, k, n) and count_ordered_configs(q, k, n) for
 # n = 0..5, as the per-(k, n) enumeration computed them before the counts
@@ -290,18 +290,24 @@ class TestSquarefree:
     def test_dropped_sieve_product_is_named(self, monkeypatch, fresh_tables):
         dropped = FieldPoly(PrimeField(3), (0, 0, 1, 1))  # t^2 (t + 1), only as g^2*h with g = t
         at = 1  # its low coefficients (0, 0, 1) in base 3, constant term most significant
-        real = ffield._square_multiples
+        real = ffield._times_every
 
-        def leaky(q, n):
-            return (i for i in real(q, n) if (q, n, i) != (3, 3, at))
+        def leaky(columns, q):
+            products = real(columns, q)
 
-        monkeypatch.setattr(ffield, "_square_multiples", leaky)
+            def dropping(factor):
+                n = len(columns) + len(factor) - 2
+                return [i for i in products(factor) if (q, n, i) != (3, 3, at)]
+
+            return dropping
+
+        monkeypatch.setattr(ffield, "_times_every", leaky)
         assert squarefree_disagreements(3, 3) == [dropped]
         assert squarefree_disagreements(3, 2) == []
 
     def test_first_offender_is_named(self, monkeypatch, fresh_tables):
         # the sieve marks nothing, so every non-squarefree cubic is an offender
-        monkeypatch.setattr(ffield, "_square_multiples", lambda q, n: iter(()))
+        monkeypatch.setattr(ffield, "_times_every", lambda columns, q: lambda factor: ())
         squareful = [f for f in monic_polys(PrimeField(3), 3) if not is_squarefree(f)]
         assert len(squareful) > 1
         assert squarefree_disagreements(3, 3) == squareful[:1]
@@ -366,6 +372,56 @@ class TestSquarefree:
                 sieve = ffield._square_sieve(q, n)
                 # q^n - q^(n-1) monic polynomials of degree n >= 2 are squarefree
                 assert sieve.count(0) == (q**n - q ** (n - 1) if n >= 2 else q**n)
+
+
+class TestSquareSieve:
+    # every (q, n) of the default tables, fields past the default primes,
+    # and degrees where p | n or the squares outnumber the cofactors
+    @pytest.mark.parametrize(
+        "q, n",
+        [(q, n) for q in (2, 3, 5, 7) for n in range(6)]
+        + [(2, 10), (3, 7), (7, 6), (11, 4), (13, 3), (97, 2), (97, 3)],
+    )
+    def test_matches_the_products_by_hand(self, q, n):
+        assert ffield._square_sieve(q, n) == square_sieve_by_hand(q, n)
+
+    @pytest.mark.parametrize(
+        "n, held",
+        [
+            # d = 1: the 27 cofactors, times 3 squares; d = 2 > m = 1: the 9
+            # squares, times 3 cofactors
+            (5, [(4, 27, 3), (5, 9, 3)]),
+            # d = 2 = m: a tie keeps the cofactors; d = 3 > m = 0: the squares
+            (6, [(5, 81, 3), (3, 9, 9), (7, 27, 1)]),
+        ],
+    )
+    def test_the_larger_set_is_held(self, monkeypatch, n, held):
+        # per d, the (columns, members, calls) of the set held as columns:
+        # m + 1 columns for the q^m cofactors, 2d + 1 for the q^d squares
+        real, seen = ffield._times_every, []
+
+        def recorded(columns, q):
+            products = real(columns, q)
+            seen.append([len(columns), len(columns[0]), 0])
+
+            def counted(factor):
+                seen[-1][2] += 1
+                return products(factor)
+
+            return counted
+
+        monkeypatch.setattr(ffield, "_times_every", recorded)
+        ffield._square_sieve(3, n)
+        assert [tuple(s) for s in seen] == held
+
+    def test_residue_sums_must_fit_a_byte(self):
+        # (96 + x)(1 + 2x + x^2) = 96 + 96x + x^2 + x^3 mod 97: two residues
+        # meet per coefficient (96 * 2 + 1 = 193), at most 2 * 96 = 192; three
+        # can pass 255, which no (q, n) within the budget asks for
+        products = ffield._times_every([b"\1", b"\2", b"\1"], 97)
+        assert list(products([96, 1])) == [(96 * 97 + 96) * 97 + 1]
+        with pytest.raises(ValueError, match="a sum of residues mod 97 can pass a byte"):
+            products([0, 0, 1])
 
 
 class TestTables:

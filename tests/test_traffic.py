@@ -153,8 +153,12 @@ FOOTPRINT = {
     "table betti --kind virtual -k 2 --max-n 3 --format latex": [],
     # the CLI writes the JSON table itself
     "table betti -k 2 --max-n 3 --format json": [],
-    # the scope checks its primes against the oracle's field policy
-    "verify series --max-k 1 --max-n 2": ["confpoly.ffield", "confpoly.kronecker", "confpoly.verify"],
+    # the scope checks its primes against the field policy in the package
+    "verify series --max-k 1 --max-n 2": ["confpoly.kronecker", "confpoly.verify"],
+    # the oracle is loaded when pointcount runs
+    "verify pointcount --max-n 1 --primes 2": [
+        "confpoly.ffield", "confpoly.kronecker", "confpoly.verify",
+    ],
 }
 
 
