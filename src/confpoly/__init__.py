@@ -35,11 +35,14 @@ class TooLargeError(ValueError):
 
 
 def check_field_size(q: int) -> None:
-    """Raise ValueError unless q is a prime no larger than FIELD_SIZE_LIMIT."""
+    """Raise ValueError unless q is a prime no larger than FIELD_SIZE_LIMIT.
+
+    Trial division stops at FIELD_SIZE_LIMIT, so any int is decided at once;
+    a q past the limit with no factor up to it is reported as too large."""
     from .ring import _natural  # not at the top: confpoly.kronecker loads no ring
 
     _natural("q", q)
-    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+    if q < 2 or any(q % d == 0 for d in range(2, min(isqrt(q), FIELD_SIZE_LIMIT) + 1)):
         raise ValueError(f"{q} is not prime")
     if q > FIELD_SIZE_LIMIT:
         raise ValueError(f"q={q} exceeds the size policy ({FIELD_SIZE_LIMIT})")

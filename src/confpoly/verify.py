@@ -17,11 +17,10 @@ Suites:
     series      closed-form Betti rows vs generating function vs the
                 iterated one-puncture step; raw vs simplified virtual
                 series; polynomial shape invariants; generating-function
-                identities for pyramidal and stable ranks.  The chain and
-                the virtual, pyramidal and stable series are carried
-                across k by one-puncture steps, the chain and the raw form
-                on Kronecker ints; the public virtual routes are checked
-                against the carried series at the last k
+                identities for pyramidal and stable ranks.  The chain, the
+                raw virtual form and the pyramidal and stable series are
+                carried across k by one-puncture steps, ring-free; the
+                public simplified series is checked against them at every k
     duality     transformed standard polynomial == virtual polynomial
     pointcount  finite-field enumerations vs specialized virtual
                 polynomials, plus agreement of the two squarefree tests
@@ -40,7 +39,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 # the oracle confpoly.ffield is loaded only when pointcount runs
 from . import DEFAULT_PRIMES, SUITES, check_field_size, combinatorics, duality, kronecker
 from . import poincare, virtual
-from .ring import LaurentPoly, TruncSeries, _natural
+from .ring import LaurentPoly, _natural
 
 
 class CheckResult(NamedTuple):
@@ -255,19 +254,10 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
 
 
 # One-puncture steps: each carries a series of suite_series from k to k + 1
-# punctures by running sums and differences, with no series divided.  The
-# Napolitano chain and the raw virtual form are carried as Kronecker ints
-# (confpoly.kronecker), the simplified form on ring, and the pyramidal and
-# stable series as int rows, so no code builds two forms that are compared.
-
-
-def simplified_step(s: TruncSeries) -> TruncSeries:
-    """virtual_unordered_series from k to k + 1: multiply by 1/(1 + y), the
-    running alternating sum c'_0 = c_0, c'_n = c_n - c'_(n-1)."""
-    out: list[LaurentPoly] = []
-    for c in s.coeffs:
-        out.append(c + -out[-1] if out else c)
-    return TruncSeries(s.order, out)
+# punctures by running sums and differences, with no series divided and no
+# ring code.  The Napolitano chain and the raw virtual form are carried as
+# Kronecker ints (confpoly.kronecker), and the pyramidal and stable series as
+# int rows, so no code builds two forms that are compared.
 
 
 def running_sum_step(row: list[int]) -> list[int]:
@@ -281,21 +271,22 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
     replaces both the order and the shape bound.
 
-    ``unordered_series(k)`` is built for every k and checked against the
-    closed form and the Napolitano chain.  The chain and the raw and
-    simplified virtual series are carried from k = 0, each by its own
-    step, and the pyramidal and stable generating functions by
-    :func:`running_sum_step`.  The chain and the raw form are Kronecker
-    ints at x = 2^b, b from the last k, compared with a ring series by
-    encoding it.  At the last k, the public raw and simplified routes are
-    compared with each other and then with the carried series."""
+    ``unordered_series(k)`` and ``virtual_unordered_series(k)`` are built
+    once for every k.  The first is checked against the closed form and the
+    Napolitano chain, the second against the raw virtual form and the shape
+    of a virtual polynomial.  The chain and the raw form are carried from
+    k = 0 as Kronecker ints at x = 2^b, b from the last k, and compared with
+    a ring series by encoding it; the pyramidal and stable generating
+    functions are carried as int rows by :func:`running_sum_step`.  At the
+    last k > 0, the public raw route is compared with the public simplified
+    series and then with the carried raw form."""
     order, shape_max_n = scope.n(12), scope.n(10)
     ks = scope.ks(6)
     bits = kronecker.bit_width(ks[-1], order)
-    # (k, chain, raw, simplified, pyramidal, stable): made at k = 0 by the
-    # first k's cells and carried up to each asked-for k by the steps alone,
-    # one call each per k, so a wrong step at some k shows there first and
-    # at every k after it
+    # (k, chain, raw, pyramidal, stable): made at k = 0 by the first k's
+    # cells and carried up to each asked-for k by the steps alone, one call
+    # each per k, so a wrong step at some k shows there first and at every
+    # k after it
     carried = None
 
     def same(u, v) -> bool:
@@ -310,36 +301,33 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     def cells(k: int) -> Iterator[Cell]:
         nonlocal carried
         q_series = poincare.unordered_series(k, order)
+        simplified = virtual.virtual_unordered_series(k, order)
         if carried is None:
             carried = (
                 0,
                 kronecker.chain_base(order, bits),
                 kronecker.raw_base(order, bits),
-                virtual.virtual_unordered_series(0, order),
                 [1] * (order + 1),  # 1/(1 - y)
                 [1, 1][: order + 1] + [0] * (order - 1),  # 1 + y
             )
         while carried[0] < k:
-            _, chain, raw, simplified, pyramidal, stable = carried
+            _, chain, raw, pyramidal, stable = carried
             carried = (
                 carried[0] + 1,
                 kronecker.chain_step(chain, bits),
                 kronecker.raw_step(raw),
-                simplified_step(simplified),
                 running_sum_step(pyramidal),
                 running_sum_step(stable),
             )
-        _, chain, raw, simplified, pyramidal_gf, stable_gf = carried
-        # the forms compared, in order; past k = 0 the public routes are
-        # rebuilt at the last k alone, and checked against the carried forms
+        _, chain, raw, pyramidal_gf, stable_gf = carried
+        # the forms compared, in order; the public raw route is built at the
+        # last k alone, and checked against both the others
         forms = [(("raw form", raw), ("simplified form", simplified))]
         if k == ks[-1] and k > 0:
             public_raw = ("raw form", virtual.getzler_series_raw(k, order))
-            public_simplified = ("simplified form", virtual.virtual_unordered_series(k, order))
             forms = [
-                (public_raw, public_simplified),
+                (public_raw, ("simplified form", simplified)),
                 (public_raw, ("carried raw form", raw)),
-                (public_simplified, ("carried simplified form", simplified)),
             ]
 
         def three_way(k: int, n: int) -> tuple[bool, str]:

@@ -254,6 +254,23 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_large_prime_is_refused_at_once(self):
+        # a large prime has no factor to find below its root: the policy
+        # stops its trial division at the size limit instead of the root
+        argv = ["verify", "series", "--max-k", "1", "--max-n", "1",
+                "--primes", "1000000000000000000000000000057"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "confpoly.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "confpoly verify: error: q=1000000000000000000000000000057 "
+            "exceeds the size policy (100)"
+        )
+
     def test_pointcount_over_budget_fails_fast(self, capsys):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:

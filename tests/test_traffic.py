@@ -210,6 +210,8 @@ KEEP = {
     "poincare.napolitano_step": "criterion 3 iterates it; the ring side of the chain",
     "ring.TruncSeries.inverse": "perfbench tracer target",
     "ring.LaurentPoly.__mul__": "perfbench tracer target; the ring-axiom tests use it",
+    "ring.LaurentPoly.__add__": "perfbench tracer target; the ring-axiom tests use it",
+    "ring.TruncSeries.order": "napolitano_step and undualize_series read it",
     "ffield.clear_caches": "criterion 9 empties the tables after patching what builds them",
     "ffield.FieldPoly.__eq__": "value dunder",
     "ffield.FieldPoly.__hash__": "value dunder",

@@ -131,6 +131,7 @@ class TestScope:
         [
             ({"primes": (4,)}, "4 is not prime"),
             ({"primes": (101,)}, "size policy"),
+            ({"primes": (10403,)}, "q=10403 exceeds the size policy"),  # 101 * 103
             ({"primes": (2, 2)}, "distinct primes"),
             ({"primes": ()}, "distinct primes"),
             ({"only_k": 5, "max_k": 2}, "exclude each other"),
@@ -149,8 +150,8 @@ class TestScope:
             ({"max_k": "2"}, "max_k"),
         ],
         ids=[
-            "non-prime", "prime-past-policy", "repeated-prime", "no-prime",
-            "only_k-and-max_k", "negative-max_k", "negative-max_n", "negative-only_k",
+            "non-prime", "prime-past-policy", "composite-past-policy", "repeated-prime",
+            "no-prime", "only_k-and-max_k", "negative-max_k", "negative-max_n", "negative-only_k",
             "no-space", "unknown-space", "repeated-space", "float-prime", "float-second-prime",
             "float-max_k", "float-only_k", "float-max_n", "bool-max_n", "str-max_k",
         ],
@@ -436,16 +437,16 @@ class TestNapolitanoChain:
 
 
 class TestCarriedSeries:
-    """verify series carries four more series from k = 0: the raw virtual
-    form as Kronecker ints, the simplified one on ring, and the pyramidal
-    and stable series as int rows, both by running_sum_step."""
+    """verify series carries three more series from k = 0: the raw virtual
+    form as Kronecker ints, and the pyramidal and stable series as int rows,
+    both by running_sum_step.  The simplified virtual form is the public
+    series, read once at every k."""
 
     # the step of each carried series: (module, function, its calls per k,
     # which of them carries this series); running_sum_step carries the
     # pyramidal series first at each k, then the stable one
     STEPS = {
         "raw_step": (kronecker, "raw_step", 1, 0),
-        "simplified_step": (verify, "simplified_step", 1, 0),
         "pyramidal_step": (verify, "running_sum_step", 2, 0),
         "stable_step": (verify, "running_sum_step", 2, 1),
     }
@@ -462,7 +463,6 @@ class TestCarriedSeries:
             "raw_step": lambda k: [
                 kronecker.encode(c, b) for c in virtual.getzler_series_raw(k, order).coeffs
             ],
-            "simplified_step": lambda k: virtual.virtual_unordered_series(k, order),
             "pyramidal_step": lambda k: ints((minus_y ** (k + 1)).inverse()),
             "stable_step": lambda k: ints(TruncSeries(order, [1, 1]) * (minus_y**k).inverse()),
         }
@@ -485,8 +485,6 @@ class TestCarriedSeries:
         carried = [  # (step, the k = 0 base, the public series at the last k)
             (poincare.napolitano_step, poincare.unordered_series(0, order),
              poincare.unordered_series(last_k, order)),
-            (verify.simplified_step, virtual.virtual_unordered_series(0, order),
-             virtual.virtual_unordered_series(last_k, order)),
             (verify.running_sum_step, [1] * (order + 1), pyramidal),
             (verify.running_sum_step, [1, 1] + [0] * (order - 1), stable),
         ]
@@ -537,8 +535,8 @@ class TestCarriedSeries:
         ids=["max-k-0", "max-k-1", "max-k-5", "max-k-16", "k-7"],
     )
     def test_public_routes_at_first_and_last_k(self, monkeypatch, capsys, argv, last_k):
-        # the simplified route seeds its carried form at k = 0; the raw form
-        # is seeded ring-free, so its public route runs at the last k alone
+        # the simplified route is read once at every k of the run; the raw
+        # form is carried ring-free, so its public route runs at the last k alone
         raw, simplified = (
             self._count_calls(monkeypatch, virtual, name)
             for name in ("getzler_series_raw", "virtual_unordered_series")
@@ -550,7 +548,8 @@ class TestCarriedSeries:
         assert cli.main(["verify", "series", *argv, "--max-n", "6"]) == 0
         capsys.readouterr()
         assert raw == [(k, 6) for k in sorted({last_k} - {0})]
-        assert simplified == [(k, 6) for k in sorted({0, last_k})]
+        ks = [last_k] if argv[0] == "-k" else range(last_k + 1)
+        assert simplified == [(k, 6) for k in ks]
         for module, function, per_k, _ in self.STEPS.values():
             assert len(steps[module, function]) == per_k * last_k
 
@@ -574,10 +573,8 @@ class TestCarriedSeries:
         "name, detail",
         [
             ("raw_step", "raw form x^4-7x^2+21 != carried raw form x^4-7x^2+22"),
-            ("simplified_step",
-             "simplified form x^4-7x^2+21 != carried simplified form x^4-7x^2+22"),
         ],
-        ids=["raw", "simplified"],
+        ids=["raw"],
     )
     def test_last_k_names_the_carried_form(self, monkeypatch, name, detail):
         # the public routes agree with each other, so the carried form is named
@@ -586,6 +583,18 @@ class TestCarriedSeries:
         summary, _ = run_suites(["series"], Scope(max_k=6, max_n=6))
         f = summary.first_failure
         assert (f.space, f.k, f.n, f.detail) == ("unordered", 6, 2, detail)
+
+    def test_public_simplified_series_is_checked_at_every_k(self, monkeypatch, capsys):
+        # a simplified series wrong at one k short of the last is the series
+        # that `series` and `table betti` print: its forms cell fails there
+        self._count_calls(monkeypatch, virtual, "virtual_unordered_series", wrong_call=4)
+        assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
+        out = capsys.readouterr().out
+        first = next(line for line in out.splitlines() if line.startswith("first failure:"))
+        assert first == (
+            "first failure: FAIL suite=series space=unordered k=3 n=2 | "
+            "raw form x^4-4x^2+6 != simplified form x^4-4x^2+7"
+        )
 
     # what raises, when (the number of the call and its arguments), and the
     # first k that fails: a step raises from k = 3 on (running_sum_step is
