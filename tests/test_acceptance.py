@@ -140,7 +140,7 @@ def test_criterion_9_mutation_sensitivity(monkeypatch, capsys):
             assert code == 1
             assert "space=ordered k=2 n=3" in _first_failure_line(out)
 
-        # a bumped Betti rank surfaces in the stability checks
+        # a bumped Betti rank surfaces in the series three-way checks
         real_bu = poincare_module.betti_unordered
 
         def bumped_betti(k, n):

@@ -16,6 +16,7 @@ import confpoly.duality as duality
 import confpoly.ffield as ffield
 import confpoly.kronecker as kronecker
 import confpoly.poincare as poincare
+import confpoly.ring as ring
 import confpoly.verify as verify
 import confpoly.virtual as virtual
 from confpoly import cli
@@ -50,18 +51,20 @@ class TestRunSuites:
         summary, _ = run_suites(["series"], Scope(max_k=3, max_n=8))
         assert summary.ok
 
-    def test_stabilization_reads_each_polynomial_once(self, monkeypatch):
-        # the 567 stabilization cells at the defaults read 91 (k, n)
-        real, calls = poincare.betti_unordered, collections.Counter()
+    def test_stabilization_reads_one_table_per_k(self, monkeypatch):
+        # the 567 stabilization cells at the defaults read the printed table
+        # once per k, and neither of the formula's own routes
+        calls = collections.defaultdict(list)
+        for name in ("betti_unordered_table", "betti_unordered", "stable_betti"):
 
-        def counting(k, n):
-            calls[k, n] += 1
-            return real(k, n)
+            def counting(*args, _real=getattr(poincare, name), _name=name):
+                calls[_name].append(args)
+                return _real(*args)
 
-        monkeypatch.setattr(poincare, "betti_unordered", counting)
+            monkeypatch.setattr(poincare, name, counting)
         summary, _ = run_suites(["recursions"])
         assert summary.ok
-        assert sum(calls.values()) == len(calls) == 91
+        assert calls == {"betti_unordered_table": [(k, 12) for k in range(7)]}
 
     def test_pointcount_suite_green_small(self):
         summary, results = run_suites(["pointcount"], Scope(primes=(2, 3), max_n=4))
@@ -292,6 +295,25 @@ class TestFailureNaming:
         assert (first.suite, first.space, first.k, first.n) == ("recursions", "-", 2, 3)
         assert "disagree" in first.detail
 
+    def test_wrong_pyramidal_fails_the_stabilization_cells(self, monkeypatch, capsys):
+        # the printed table reads the public pyramidal name and the expected
+        # ranks the running-sum rows, so one wrong P(1, 3) fails the
+        # stabilization cells of k = 2 that read it
+        real = combinatorics.pyramidal
+        for k in range(-1, 9):
+            for i in range(-1, 14):
+                real(k, i)
+        monkeypatch.setattr(
+            combinatorics, "pyramidal", lambda k, i: real(k, i) + ((k, i) == (1, 3))
+        )
+        assert cli.main(["verify", "recursions"]) == 1
+        failed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL ") and "space=unordered" in line
+        ]
+        assert len(failed) == 18
+        assert failed[0] == "FAIL suite=recursions space=unordered k=2 n=3 | rank H^3 = 5, expected 4"
+
     def test_patched_pyramidal_leaves_the_memo_true(self, monkeypatch):
         # the memoized recursion must not call itself through the public
         # name, or values built from a patched neighbour outlive the patch
@@ -329,12 +351,13 @@ class TestFailureNaming:
     @pytest.mark.parametrize(
         "suite, module, name, k_at, spaces",
         [
+            ("recursions", poincare, "betti_unordered_table", 0, ["unordered"]),
             ("series", poincare, "unordered_series", 0, ["-"]),
             ("duality", duality, "check_duality", 0, ["unordered", "ordered"]),
             ("pointcount", ffield, "oracle_check", 1, ["-"]),
             ("euler", duality, "euler_consistency", 0, ["unordered", "ordered"]),
         ],
-        ids=["series", "duality", "pointcount", "euler"],
+        ids=["recursions", "series", "duality", "pointcount", "euler"],
     )
     def test_crashed_k_is_one_failed_cell(
         self, monkeypatch, capsys, suite, module, name, k_at, spaces
@@ -637,12 +660,40 @@ def test_recursions_build_no_unordered_cell_under_ordered(monkeypatch, capsys):
         if line.startswith("PASS ") and "space=unordered" not in line
     ]
     calls = []
-    monkeypatch.setattr(poincare, "betti_unordered", lambda *args: calls.append(args))
+    monkeypatch.setattr(poincare, "betti_unordered_table", lambda *args: calls.append(args))
     assert cli.main([*argv, "--space", "ordered"]) == 0
     assert calls == []
     assert capsys.readouterr().out.splitlines() == [
         *kept, f"summary: suites=recursions passed={len(kept)} failed=0", "result: PASS"
     ]
+
+
+def test_stabilization_routes_share_only_argument_checks():
+    # the stabilization cells compare the printed table with the running-sum
+    # rows; entered from cold caches, the two may share no confpoly code
+    # but the argument checks
+    package = Path(combinatorics.__file__).parent
+
+    def entered(route, *args):
+        combinatorics.pyramidal.cache_clear()
+        codes = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and Path(frame.f_code.co_filename).parent == package:
+                codes.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            route(*args)
+        finally:
+            sys.setprofile(None)
+        return codes
+
+    table = entered(poincare.betti_unordered_table, 6, 12)
+    rows = entered(combinatorics.pyramidal_rows, 6, 12)
+    assert combinatorics.pyramidal.__wrapped__.__code__ in table
+    assert combinatorics.pyramidal_rows.__code__ in rows
+    assert table & rows == {ring._natural.__code__, ring._integer.__code__}
 
 
 def test_traced_run_sees_every_suite():
