@@ -51,13 +51,16 @@ def unordered_series(k: int, order: int) -> TruncSeries:
     """(1 + x*y^2) / ((1 - y)(1 - x*y)^k) truncated at y^order.
 
     The y^n coefficient is the Poincare polynomial of the unordered
-    n-point configuration space.  The numerator is multiplied by the power
-    (1 - x*y)^(-k), whose coefficients have one term each, and the product
-    divided by 1 - y, so no dense series is ever inverted.
+    n-point configuration space.  The numerator is multiplied by
+    (1 - x*y)^(-k), the integer power (1 - y)^(-k) with its y^n coefficient
+    times x^n (the ring map y -> x*y), and the product divided by 1 - y, so
+    no dense series is ever inverted.
     """
     _natural("k", k)  # TruncSeries checks order
     numerator = TruncSeries(order, [ONE, 0, X])
-    return numerator * TruncSeries(order, [ONE, -X]) ** -k / TruncSeries(order, [ONE, -1])
+    power = TruncSeries(order, [ONE, -1]) ** -k
+    punctures = [LaurentPoly({n: c.coefficient(0)}) for n, c in enumerate(power.coeffs)]
+    return numerator * TruncSeries(order, punctures) / TruncSeries(order, [ONE, -1])
 
 
 def napolitano_step(s: TruncSeries) -> TruncSeries:

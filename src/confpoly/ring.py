@@ -15,7 +15,8 @@ Two immutable ring types live here:
     truncation order is part of the value; mixing orders raises instead of
     silently re-truncating.  Division by a series with a unit y^0
     coefficient +-x^e is exact; ``inverse`` is the quotient 1 / s.  A series
-    with such a unit has every integer power, negative ones too.
+    of integers with y^0 coefficient +-1 has every integer power, negative
+    ones too; a series with x in a coefficient has no ``**``.
 
 All exponents and coefficients are Python ints (arbitrary precision), never
 floats or bools, so every comparison in the test suite is an exact equality.
@@ -237,11 +238,11 @@ def _as_poly(value) -> LaurentPoly:
 def _dot(rows: Iterable[tuple[int, int, dict[int, int]]]) -> LaurentPoly:
     """Sum of ``c * x^e * q`` over the rows (e, c, q), each q the terms of a
     polynomial: the one loop that multiplies terms, into one dict.  Callers
-    flatten one operand (the shorter, the divisor, the base of a power) into
-    the monomials c * x^e and put the longest q first, which fills the empty
-    sum in one comprehension (c = 1 shifts q without multiplying).  Products of nonzero ints are nonzero, so
-    only a sum can reach 0, and such a term is deleted where it cancels: the
-    result needs no zero filter."""
+    flatten one operand (the shorter, or the divisor) into the monomials
+    c * x^e and put the longest q first, which fills the empty sum in one
+    comprehension (c = 1 shifts q without multiplying).  Products of nonzero
+    ints are nonzero, so only a sum can reach 0, and such a term is deleted
+    where it cancels: the result needs no zero filter."""
     out: dict[int, int] = {}
     for e1, c1, q in rows:
         if not out:
@@ -274,14 +275,6 @@ def _monomials(coeffs: tuple[LaurentPoly, ...], first=0, shift=0, scale=1) -> li
     y^i, i >= first, in order of i: a series flattened once for ``_dot``."""
     terms = range(first, len(coeffs))
     return [(i, e + shift, c * scale) for i in terms for e, c in coeffs[i]._terms.items()]
-
-
-def _exact_quotient(p: LaurentPoly, m: int) -> LaurentPoly:
-    """``p / m``, whose coefficients must all be multiples of m: a remainder
-    means the power recurrence is wrong, so it raises, never rounds."""
-    if any(c % m for c in p._terms.values()):
-        raise ArithmeticError(f"{p} is not divisible by {m}")
-    return LaurentPoly._make({e: c // m for e, c in p._terms.items()})
 
 
 _CONSTANT = frozenset({0})
@@ -398,14 +391,6 @@ class TruncSeries:
                 f"series orders differ: {self._order} vs {other._order}"
             )
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._match(other)
-        return TruncSeries(
-            self._order, [a + b for a, b in zip(self._coeffs, other._coeffs)]
-        )
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -432,45 +417,37 @@ class TruncSeries:
         ])
 
     def __pow__(self, n: int) -> "TruncSeries":
-        """``self`` to the integer power n modulo y^(N+1), negative n too.
+        """``self`` to the integer power n modulo y^(N+1), negative n too, for
+        a series whose coefficients are all integers.
 
-        The y^0 coefficient f_0 must be a unit +-x^e, as for division;
-        otherwise :class:`NonUnitConstantTermError` is raised.  J.C.P.
-        Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) follows from
-        f * q' = n * f' * q for q = f^n:
+        The y^0 coefficient f_0 must be a unit +-1; otherwise
+        :class:`NonUnitConstantTermError` is raised, and a coefficient in x is
+        a ValueError.  J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
+        follows from f * q' = n * f' * q for q = f^n:
 
             m * f_0 * q_m = sum over i = 1..min(m, d) of ((n + 1) i - m) f_i q_(m-i),
 
-        with q_0 = f_0^n, over the nonzero f_i alone.  So a power costs at
-        most d products per coefficient, for d nonzero f_i past the first,
-        whatever n is, and no series is divided.
+        with q_0 = f_0^n, over the f_i up to the last nonzero one, f_d.  So a
+        power costs at most d products per coefficient, whatever n is, and
+        no series is divided.
         """
         _integer("n", n)
-        e0, c0 = _unit_inverse(self._coeffs[0])
+        _, c0 = _unit_inverse(self._coeffs[0])
         f = _constants(self._coeffs)
-        if f is not None:
-            # the same recurrence on ints: f_0 = c0 = +-1 is its own inverse,
-            # and g holds c0 * f_i for i = 1..d
-            g = _trim([c0 * c for c in f[1:]])
-            ints = [c0 if n % 2 else 1]
-            for m in range(1, self._order + 1):
-                d = min(m, len(g))
-                weighted = [((n + 1) * i - m) * g[i - 1] for i in range(1, d + 1)]
-                s = _int_dot(weighted, ints[m - d : m][::-1])
-                q, r = divmod(s, m)
-                if r:
-                    raise ArithmeticError(f"{s} is not divisible by {m}")
-                ints.append(q)
-            return TruncSeries._of_ints(self._order, ints)
-        # the terms of f_i / f_0 are flattened once; the weight (n + 1) i - m
-        # scales them per m, q_(m-1) first
-        g = _monomials(self._coeffs, 1, e0, c0)
-        out = [LaurentPoly._make({-e0 * n: c0 if n % 2 else 1})]
+        if f is None:
+            raise ValueError(f"{self} has a coefficient in x; only integer series have powers")
+        # f_0 = c0 = +-1 is its own inverse, and g holds c0 * f_i for i = 1..d
+        g = _trim([c0 * c for c in f[1:]])
+        ints = [c0 if n % 2 else 1]
         for m in range(1, self._order + 1):
-            weighted = ((i, e, ((n + 1) * i - m) * c) for i, e, c in g if i <= m)
-            rows = ((e, c, out[m - i]._terms) for i, e, c in weighted if c)
-            out.append(_exact_quotient(_dot(rows), m))
-        return TruncSeries._make(self._order, out)
+            d = min(m, len(g))
+            weighted = [((n + 1) * i - m) * g[i - 1] for i in range(1, d + 1)]
+            s = _int_dot(weighted, ints[m - d : m][::-1])
+            q, r = divmod(s, m)
+            if r:  # a wrong recurrence shows as a remainder, never rounded
+                raise ArithmeticError(f"{s} is not divisible by {m}")
+            ints.append(q)
+        return TruncSeries._of_ints(self._order, ints)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         """The exact quotient modulo y^(N+1): the series q with q * other == self.

@@ -4,11 +4,13 @@ Every suite walks a documented default range and yields bare cells
 ``(space, k, n, passed, detail)``; :func:`run_suites` alone labels them
 with their suite and keeps those of the run's spaces, so a single wrong
 coefficient anywhere surfaces as a named first failure.  A suite may skip
-building the cells of a space the run leaves out.  Checks never
-raise: an exception inside a cell becomes a failed cell, and one while
-a suite builds the cells of a k becomes one failed n = -1 cell for that
-k.  Default ranges match the acceptance targets; at them the five suites
-take about 0.03 s in all (Python 3.11, 2-core x86-64).
+building the cells of a space the run leaves out.  Checks never raise:
+an exception inside a cell becomes a failed cell, one while a suite
+builds the cells of a k becomes one failed n = -1 cell for that k, and one
+anywhere else in a suite ends that suite with one failed cell
+``('-', -1, -1)``, after the cells it made.  Default ranges match the
+acceptance targets; at them the five suites take about 0.03 s in all
+(Python 3.11, 2-core x86-64).
 
 Suites:
 
@@ -18,10 +20,11 @@ Suites:
     series      closed-form Betti rows vs generating function vs the
                 iterated one-puncture step; raw vs simplified virtual
                 series; polynomial shape invariants; generating-function
-                identities for pyramidal and stable ranks.  The chain, the
-                raw virtual form and the pyramidal and stable series are
-                carried across k by one-puncture steps, ring-free; the
-                public simplified series is checked against them at every k
+                identities for pyramidal and stable ranks.  The chain and
+                the raw virtual form are carried across k by one-puncture
+                steps, ring-free, and the pyramidal and stable series read
+                from the running-sum rows; the public simplified series is
+                checked against the raw form at every k
     duality     transformed standard polynomial == virtual polynomial
     pointcount  finite-field enumerations vs specialized virtual
                 polynomials, plus agreement of the two squarefree tests
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # SUITES and DEFAULT_PRIMES are declared in the package, where the CLI reads
@@ -251,20 +253,6 @@ def _virtual_shape(p: LaurentPoly, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-# One-puncture steps: each carries a series of suite_series from k to k + 1
-# punctures by running sums and differences, with no series divided and no
-# ring code.  The Napolitano chain and the raw virtual form are carried as
-# Kronecker ints (confpoly.kronecker), and the pyramidal and stable series as
-# int rows, so no code builds two forms that are compared.
-
-
-def running_sum_step(row: list[int]) -> list[int]:
-    """Multiply by 1/(1 - y), the running sum of the coefficients: carries the
-    pyramidal 1/(1 - y)^(k+1) and the stable (1 + y)/(1 - y)^k to k + 1.  Each
-    is checked against its own formula, never against the other."""
-    return list(accumulate(row))
-
-
 def suite_series(scope: Scope) -> Iterator[Cell]:
     """k <= 6 and series order 12, shape checks for n <= 10; ``max_n``
     replaces both the order and the shape bound.
@@ -274,18 +262,19 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     Napolitano chain, the second against the raw virtual form and the shape
     of a virtual polynomial.  The chain and the raw form are carried from
     k = 0 as Kronecker ints at x = 2^b, b from the last k, and compared with
-    a ring series by encoding it; the pyramidal and stable generating
-    functions are carried as int rows by :func:`running_sum_step`.  At the
-    last k > 0, the public raw route is compared with the public simplified
+    a ring series by encoding it.  The pyramidal 1/(1 - y)^(k+1) and the
+    stable (1 + y)/(1 - y)^k generating functions are read from the
+    running-sum rows of :func:`combinatorics.pyramidal_rows`.  At the last
+    k > 0, the public raw route is compared with the public simplified
     series and then with the carried raw form."""
     order, shape_max_n = scope.n(12), scope.n(10)
     ks = scope.ks(6)
     bits = kronecker.bit_width(ks[-1], order)
-    # (k, chain, raw, pyramidal, stable): made at k = 0 by the first k's
-    # cells and carried up to each asked-for k by the steps alone, one call
-    # each per k, so a wrong step at some k shows there first and at every
-    # k after it
-    carried = None
+    # (k, chain, raw): made at k = 0 by the first k's cells, with the rows,
+    # and carried up to each asked-for k by the steps alone, one call each
+    # per k, so a wrong step at some k shows there first and at every k
+    # after it
+    carried = rows = None
 
     def same(u, v) -> bool:
         """Two ring polynomials, or one and a Kronecker int it is encoded to meet."""
@@ -297,27 +286,16 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         return LaurentPoly(kronecker.decode(v, bits)) if type(v) is int else v
 
     def cells(k: int) -> Iterator[Cell]:
-        nonlocal carried
+        nonlocal carried, rows
         q_series = poincare.unordered_series(k, order)
         simplified = virtual.virtual_unordered_series(k, order)
         if carried is None:
-            carried = (
-                0,
-                kronecker.chain_base(order, bits),
-                kronecker.raw_base(order, bits),
-                [1] * (order + 1),  # 1/(1 - y)
-                [1, 1][: order + 1] + [0] * (order - 1),  # 1 + y
-            )
+            rows = combinatorics.pyramidal_rows(ks[-1], order)  # rows[k] is P(k-1, .)
+            carried = 0, kronecker.chain_base(order, bits), kronecker.raw_base(order, bits)
         while carried[0] < k:
-            _, chain, raw, pyramidal, stable = carried
-            carried = (
-                carried[0] + 1,
-                kronecker.chain_step(chain, bits),
-                kronecker.raw_step(raw),
-                running_sum_step(pyramidal),
-                running_sum_step(stable),
-            )
-        _, chain, raw, pyramidal_gf, stable_gf = carried
+            done, chain, raw = carried
+            carried = done + 1, kronecker.chain_step(chain, bits), kronecker.raw_step(raw)
+        _, chain, raw = carried
         # the forms compared, in order; the public raw route is built at the
         # last k alone, and checked against both the others
         forms = [(("raw form", raw), ("simplified form", simplified))]
@@ -354,15 +332,18 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
             yield _cell("unordered", k, n, lambda: _virtual_shape(simplified[n], n))
             yield _cell("ordered", k, n, _ordered_shape, k, n)
 
-        def coefficient(gf: list[int], label: str, formula: Callable, i: int) -> tuple[bool, str]:
+        def coefficient(
+            gf: Sequence[int], label: str, formula: Callable, i: int
+        ) -> tuple[bool, str]:
             got, expected = gf[i], formula(k, i)
             if got == expected:
                 return True, ""
             return False, f"{label} coefficient {got} != {expected}"
 
         # the pyramidal and the stable series, each against its own formula
+        stable_gf = [c + b for c, b in zip(rows[k], (0, *rows[k]))]  # (1 + y) rows[k]
         for space, gf, label, formula, bound in (
-            ("-", pyramidal_gf, f"1/(1-y)^{k + 1}", combinatorics.pyramidal, order),
+            ("-", rows[k + 1], f"1/(1-y)^{k + 1}", combinatorics.pyramidal, order),
             ("unordered", stable_gf, f"(1+y)/(1-y)^{k}", poincare.stable_betti, min(order, 8)),
         ):
             for i in range(bound + 1):
@@ -449,7 +430,9 @@ def run_suites(
 
     An unknown suite name raises ValueError, and a pointcount run past
     ``ffield.ENUMERATION_BUDGET`` raises ``ffield.TooLargeError``, both
-    before any suite runs."""
+    before any suite runs.  A suite that raises outside its cells and its
+    ks keeps the cells it made and adds one failed cell ('-', -1, -1) that
+    names the exception; the suites after it still run."""
     wanted = set(names)
     unknown = wanted - set(SUITES) - {"all"}
     if unknown:
@@ -464,13 +447,14 @@ def run_suites(
     suite_durations = []
     for name in ran:
         suite_start = time.perf_counter()
-        # looked up when it runs, so a replaced suite (a test's patch, a
-        # tracer's wrapper) is the one that runs
-        results.extend(
-            CheckResult(name, space, k, n, passed, detail)
-            for space, k, n, passed, detail in globals()[f"suite_{name}"](scope)
-            if space == "-" or space in scope.spaces
-        )
+        try:
+            # looked up when it runs, so a replaced suite (a test's patch, a
+            # tracer's wrapper) is the one that runs
+            for space, k, n, passed, detail in globals()[f"suite_{name}"](scope):
+                if space == "-" or space in scope.spaces:
+                    results.append(CheckResult(name, space, k, n, passed, detail))
+        except Exception as exc:  # a crash outside its cells and ks stays one failed cell
+            results.append(CheckResult(name, *_crashed("-", -1, -1, exc)))
         suite_durations.append(time.perf_counter() - suite_start)
 
     failed = [r for r in results if not r.passed]

@@ -7,7 +7,7 @@ lines.  Every comparison is an exact integer or polynomial equality.
 from contextlib import contextmanager
 
 from confpoly import cli
-from confpoly.combinatorics import pyramidal, pyramidal_closed_form
+from confpoly.combinatorics import pyramidal, pyramidal_closed_form, pyramidal_rows
 from confpoly.duality import check_duality, euler_consistency
 from confpoly.ffield import oracle_check, squarefree_disagreements
 from confpoly.poincare import (
@@ -86,12 +86,37 @@ def test_criterion_5_duality():
 
 def test_criterion_6_stability():
     with criterion(6, "ranks stabilize for n > j at the stable value, k<=6 j<=8"):
+        # an independent side: the running-sum rows, row k is P(k-1, .),
+        # which call no pyramidal recursion
+        rows = pyramidal_rows(6, 12)
         for k in range(7):
             for j in range(9):
                 stable = stable_betti(k, j)
+                assert stable == rows[k][j] + (rows[k][j - 1] if j else 0)
                 for n in range(j + 1, 13):
                     assert betti_unordered(k, n).coefficient(j) == stable
                 assert betti_unordered(k, j).coefficient(j) == stable - pyramidal(k - 1, j - 1)
+                assert betti_unordered(k, j).coefficient(j) == rows[k][j]
+
+
+def test_criterion_6_fails_on_a_wrong_pyramidal(monkeypatch, capsys):
+    # the formula's own routes both read the recursion, so with P(1, 3)
+    # off by one (memo warmed) only the running-sum side tells
+    import confpoly.combinatorics as combinatorics_module
+
+    real = pyramidal
+    for k in range(-1, 8):
+        for i in range(-1, 13):
+            real(k, i)
+    wrong = lambda k, i: real(k, i) + ((k, i) == (1, 3))  # noqa: E731
+    monkeypatch.setattr(combinatorics_module, "pyramidal", wrong)
+    monkeypatch.setitem(globals(), "pyramidal", wrong)
+    try:
+        test_criterion_6_stability()
+    except AssertionError:
+        assert capsys.readouterr().out.startswith("criterion 6: FAIL")
+    else:
+        raise AssertionError("criterion 6 passed with a wrong P(1, 3)")
 
 
 def test_criterion_7_euler_consistency():

@@ -81,10 +81,12 @@ class TestUnorderedSeries:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 12, 64])
     def test_equals_one_inverse_form(self, order):
+        # the denominator (1 - y)(1 - x*y)^k by repeated products
         numerator = TruncSeries(order, [ONE, 0, X])
+        denominator = TruncSeries(order, [ONE, -1])
         for k in range(33):
-            denominator = TruncSeries(order, [ONE, -1]) * TruncSeries(order, [ONE, -X]) ** k
             assert unordered_series(k, order) == numerator * denominator.inverse(), k
+            denominator = denominator * TruncSeries(order, [ONE, -X])
 
     def test_divides_by_factors(self, monkeypatch):
         assert_divides_by_factors(monkeypatch, unordered_series)

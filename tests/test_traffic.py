@@ -221,7 +221,6 @@ KEEP = {
     "ring.TruncSeries.__hash__": "value dunder",
     "ring.TruncSeries.__repr__": "value dunder",
     "ring.TruncSeries.__str__": "value dunder",
-    "ring.TruncSeries.__add__": "the ring-axiom tests use it",
 }
 
 

@@ -379,6 +379,47 @@ class TestFailureNaming:
         assert cli.main(argv) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "suite, module, name",
+        [
+            ("recursions", combinatorics, "pyramidal_rows"),
+            ("series", kronecker, "bit_width"),
+        ],
+        ids=["recursions", "series"],
+    )
+    def test_crash_in_set_up_is_one_failed_cell(self, monkeypatch, capsys, suite, module, name):
+        # a suite that raises before its first k ends with one failed cell,
+        # and the next suite still runs
+        def crash(*args):
+            raise IndexError("boom")
+
+        monkeypatch.setattr(module, name, crash)
+        scope = Scope(max_k=1, max_n=2)
+        summary, results = run_suites([suite, "duality"], scope)
+        assert results[0] == CheckResult(suite, "-", -1, -1, False, "IndexError: boom")
+        assert results[1:] == run_suites(["duality"], scope)[1]
+        assert (summary.failed, summary.first_failure) == (1, results[0])
+        assert cli.main(["verify", suite, "--max-k", "1", "--max-n", "2"]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"first failure: FAIL suite={suite} space=- k=-1 n=-1 | IndexError: boom",
+            "result: FAIL",
+        ]
+
+    def test_crash_after_cells_keeps_them(self, monkeypatch):
+        cells = [("-", 0, 0, True, ""), ("unordered", 0, 1, False, "bad")]
+
+        def suite(scope):
+            yield from cells
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "suite_duality", suite)
+        summary, results = run_suites(["duality", "euler"], Scope(max_k=1, max_n=2))
+        assert results[:3] == [
+            *(CheckResult("duality", *cell) for cell in cells),
+            CheckResult("duality", "-", -1, -1, False, "RuntimeError: boom"),
+        ]
+        assert {r.suite for r in results[3:]} == {"euler"} and summary.failed == 2
+
     @pytest.mark.parametrize("suite", ["duality", "euler"])
     def test_short_route_is_one_failed_cell(self, monkeypatch, suite):
         # a route that returns one polynomial too few at k = 2 must fail
@@ -460,57 +501,32 @@ class TestNapolitanoChain:
 
 
 class TestCarriedSeries:
-    """verify series carries three more series from k = 0: the raw virtual
-    form as Kronecker ints, and the pyramidal and stable series as int rows,
-    both by running_sum_step.  The simplified virtual form is the public
-    series, read once at every k."""
+    """verify series carries one more series from k = 0, the raw virtual
+    form as Kronecker ints, and reads the pyramidal and stable series from
+    the running-sum rows of pyramidal_rows.  The simplified virtual form is
+    the public series, read once at every k."""
 
-    # the step of each carried series: (module, function, its calls per k,
-    # which of them carries this series); running_sum_step carries the
-    # pyramidal series first at each k, then the stable one
-    STEPS = {
-        "raw_step": (kronecker, "raw_step", 1, 0),
-        "pyramidal_step": (verify, "running_sum_step", 2, 0),
-        "stable_step": (verify, "running_sum_step", 2, 1),
-    }
+    # the step of each carried series: (module, function)
+    STEPS = {"raw_step": (kronecker, "raw_step")}
 
     def test_steps_match_per_k_builds(self):
         order = 32
         b = kronecker.bit_width(16, order)
-        minus_y = TruncSeries(order, [1, -1])
-
-        def ints(s):
-            return [c.coefficient(0) for c in s.coeffs]
-
-        builds = {
-            "raw_step": lambda k: [
-                kronecker.encode(c, b) for c in virtual.getzler_series_raw(k, order).coeffs
-            ],
-            "pyramidal_step": lambda k: ints((minus_y ** (k + 1)).inverse()),
-            "stable_step": lambda k: ints(TruncSeries(order, [1, 1]) * (minus_y**k).inverse()),
-        }
-        for name, build in builds.items():
-            module, function, _, _ = self.STEPS[name]
-            step, carried = getattr(module, function), build(0)
-            for k in range(1, 17):
-                carried = step(carried)
-                assert carried == build(k), (name, k)
+        carried = kronecker.raw_base(order, b)
+        for k in range(17):
+            raw = virtual.getzler_series_raw(k, order)
+            assert carried == [kronecker.encode(c, b) for c in raw.coeffs], k
+            carried = kronecker.raw_step(carried)
 
     def test_steps_divide_no_series(self, monkeypatch):
-        """From the k = 0 bases on, each one-puncture step left on ring, and
-        the running sums on int rows, carry their series to k = 6 with
-        series division, inversion and powers patched to raise, so a wrong
-        division or power kernel cannot pass both the routes and the steps.
-        The Kronecker steps run no ring code at all (test_kronecker.py)."""
+        """From the k = 0 base on, the one-puncture step left on ring carries
+        its series to k = 6 with series division, inversion and powers
+        patched to raise, so a wrong division or power kernel cannot pass
+        both the route and the step.  The Kronecker steps run no ring code
+        at all (test_kronecker.py)."""
         order, last_k = 12, 6
-        pyramidal = [combinatorics.pyramidal(last_k, i) for i in range(order + 1)]
-        stable = [poincare.stable_betti(last_k, j) for j in range(order + 1)]
-        carried = [  # (step, the k = 0 base, the public series at the last k)
-            (poincare.napolitano_step, poincare.unordered_series(0, order),
-             poincare.unordered_series(last_k, order)),
-            (verify.running_sum_step, [1] * (order + 1), pyramidal),
-            (verify.running_sum_step, [1, 1] + [0] * (order - 1), stable),
-        ]
+        series = poincare.unordered_series(0, order)
+        public = poincare.unordered_series(last_k, order)
 
         def refused(*args):
             raise AssertionError("a one-puncture step divided or powered a series")
@@ -519,10 +535,9 @@ class TestCarriedSeries:
             m.setattr(TruncSeries, "__truediv__", refused)
             m.setattr(TruncSeries, "inverse", refused)
             m.setattr(TruncSeries, "__pow__", refused)
-            for step, series, public in carried:
-                for _ in range(last_k):
-                    series = step(series)
-                assert series == public, step.__name__
+            for _ in range(last_k):
+                series = poincare.napolitano_step(series)
+        assert series == public
 
     @staticmethod
     def _count_calls(monkeypatch, module, name, wrong_call=None):
@@ -564,23 +579,18 @@ class TestCarriedSeries:
             self._count_calls(monkeypatch, virtual, name)
             for name in ("getzler_series_raw", "virtual_unordered_series")
         )
-        steps = {
-            (module, function): self._count_calls(monkeypatch, module, function)
-            for module, function, _, _ in self.STEPS.values()
-        }
+        steps = [self._count_calls(monkeypatch, *step) for step in self.STEPS.values()]
         assert cli.main(["verify", "series", *argv, "--max-n", "6"]) == 0
         capsys.readouterr()
         assert raw == [(k, 6) for k in sorted({last_k} - {0})]
         ks = [last_k] if argv[0] == "-k" else range(last_k + 1)
         assert simplified == [(k, 6) for k in ks]
-        for module, function, per_k, _ in self.STEPS.values():
-            assert len(steps[module, function]) == per_k * last_k
+        assert [len(calls) for calls in steps] == [last_k] * len(steps)
 
     @pytest.mark.parametrize("name", STEPS)
     @pytest.mark.parametrize("j", [1, 3, 6])
     def test_wrong_step_names_its_k_first(self, monkeypatch, capsys, name, j):
-        module, function, per_k, nth = self.STEPS[name]
-        self._count_calls(monkeypatch, module, function, wrong_call=per_k * (j - 1) + nth + 1)
+        self._count_calls(monkeypatch, *self.STEPS[name], wrong_call=j)
         assert cli.main(["verify", "series", "--max-k", "6", "--max-n", "6"]) == 1
         out = capsys.readouterr().out
         first = next(line for line in out.splitlines() if line.startswith("first failure:"))
@@ -601,8 +611,7 @@ class TestCarriedSeries:
     )
     def test_last_k_names_the_carried_form(self, monkeypatch, name, detail):
         # the public routes agree with each other, so the carried form is named
-        module, function, _, _ = self.STEPS[name]
-        self._count_calls(monkeypatch, module, function, wrong_call=6)
+        self._count_calls(monkeypatch, *self.STEPS[name], wrong_call=6)
         summary, _ = run_suites(["series"], Scope(max_k=6, max_n=6))
         f = summary.first_failure
         assert (f.space, f.k, f.n, f.detail) == ("unordered", 6, 2, detail)
@@ -619,17 +628,40 @@ class TestCarriedSeries:
             "raw form x^4-4x^2+6 != simplified form x^4-4x^2+7"
         )
 
+    @pytest.mark.parametrize("j", [1, 3, 6])
+    def test_wrong_row_fails_series_first_at_its_k(self, monkeypatch, j):
+        # row k + 1 of pyramidal_rows is the pyramidal series at k, and row
+        # k times 1 + y the stable series at k: a bumped y^2 entry in row
+        # j + 1 fails the pyramidal cell of k = j first, then the stable
+        # cells of k = j + 1 at y^2 and y^3, if the run has that k
+        real = combinatorics.pyramidal_rows
+
+        def bumped(max_k, max_i):
+            rows = [list(row) for row in real(max_k, max_i)]
+            rows[j + 1][2] += 1
+            return rows
+
+        monkeypatch.setattr(combinatorics, "pyramidal_rows", bumped)
+        summary, results = run_suites(["series"], Scope(max_k=6, max_n=6))
+        expected = combinatorics.pyramidal(j, 2)
+        assert summary.first_failure == CheckResult(
+            "series", "-", j, 2, False,
+            f"1/(1-y)^{j + 1} coefficient {expected + 1} != {expected}",
+        )
+        failed = [(r.space, r.k, r.n) for r in results if not r.passed]
+        assert failed == [("-", j, 2), *(("unordered", j + 1, n) for n in (2, 3) if j < 6)]
+
     # what raises, when (the number of the call and its arguments), and the
-    # first k that fails: a step raises from k = 3 on (running_sum_step is
-    # called twice per k), the raw base at k = 0 on every try
+    # first k that fails: the step raises from k = 3 on, the raw base and
+    # the rows at k = 0 on every try
     @pytest.mark.parametrize(
         "module, name, crashes, first_k",
         [
             (kronecker, "raw_step", lambda call, args: call > 2, 3),
-            (verify, "running_sum_step", lambda call, args: call > 2 * 2, 3),
+            (combinatorics, "pyramidal_rows", lambda call, args: True, 0),
             (kronecker, "raw_base", lambda call, args: True, 0),
         ],
-        ids=["raw-step", "running-sum-step", "raw-base"],
+        ids=["raw-step", "rows", "raw-base"],
     )
     def test_crash_in_carried_state_is_one_failed_cell_per_k(
         self, monkeypatch, module, name, crashes, first_k
