@@ -14,13 +14,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from . import poincare, virtual
-from .ring import (
-    LaurentPoly,
-    TruncSeries,
-    _natural,
-    substitute_duality,
-    substitute_duality_inverse,
-)
+from .ring import LaurentPoly, _natural, substitute_duality
 
 
 class DualityReport(NamedTuple):
@@ -28,16 +22,6 @@ class DualityReport(NamedTuple):
 
     matches: tuple[bool, ...]
     first_mismatch: Optional[tuple[int, LaurentPoly, LaurentPoly]]
-
-
-def undualize_series(s: TruncSeries) -> TruncSeries:
-    """Undo the duality substitution coefficient by coefficient: the y^n
-    coefficient of a virtual series pulls back at weight n, recovering the
-    standard series."""
-    return TruncSeries(
-        s.order,
-        [substitute_duality_inverse(c, n) for n, c in enumerate(s.coeffs)],
-    )
 
 
 def _per_n(poly_of):
@@ -69,7 +53,8 @@ def _standard_and_virtual(k: int, max_n: int, space: str):
     """The standard and the virtual polynomials of one space, n = 0..max_n."""
     _natural("k", k)
     _natural("max_n", max_n)
-    virtual.check_space(space)
+    if space not in virtual.SPACES:
+        raise ValueError(f"space must be one of {virtual.SPACES}, got {space!r}")
     return (
         FAMILIES[f"standard-{space}"](k, max_n),
         FAMILIES[f"virtual-{space}"](k, max_n),

@@ -89,11 +89,6 @@ def check_budget(primes: Iterable[int], max_n: int) -> None:
         )
 
 
-def _check_size(q: int, n: int) -> None:
-    if _tuples(q, n) > ENUMERATION_BUDGET:
-        raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
-
-
 class _PrimeFieldFields(NamedTuple):
     q: int
 
@@ -497,12 +492,13 @@ def _check_enumeration_args(q: int, k: int, n: int, n_name: str = "n") -> None:
     """Raise ValueError unless q is a field size, k and n (the caller's
     ``n_name``) are nonnegative ints and k < q; TooLargeError if q^n is over
     the budget."""
-    PrimeField(q)
+    check_field_size(q)
     _natural("k", k)
     _natural(n_name, n)
     if k >= q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
-    _check_size(q, n)
+    if _tuples(q, n) > ENUMERATION_BUDGET:
+        raise TooLargeError(f"{q}^{n} tuples exceed the budget of {ENUMERATION_BUDGET}")
 
 
 def count_ordered_configs(q: int, k: int, n: int) -> int:

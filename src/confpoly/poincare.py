@@ -86,10 +86,15 @@ def stable_betti(k: int, j: int) -> int:
 _ORDERED: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
-def _ordered_product(k: int, n: int) -> LaurentPoly:
-    """(1 + k*x) ... (1 + (n+k-1)*x), extended from the row held for k when
-    that one has at most n factors, else from the empty product.  The factor
-    1 + m*x takes the row c to c_i + m*c_(i-1)."""
+def poincare_ordered(k: int, n: int) -> LaurentPoly:
+    """Poincare polynomial of the ordered n-point space:
+    (1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x).
+
+    Extended from the row held for k when that one has at most n factors,
+    else from the empty product.  The factor 1 + m*x takes the row c to
+    c_i + m*c_(i-1)."""
+    _natural("k", k)
+    _natural("n", n)
     have, row = _ORDERED.get(k, (0, (1,)))
     if have > n:
         have, row = 0, (1,)
@@ -97,11 +102,3 @@ def _ordered_product(k: int, n: int) -> LaurentPoly:
         row = tuple([c + m * b for c, b in zip((*row, 0), (0, *row))])
     _ORDERED[k] = (n, row)
     return LaurentPoly._make({e: c for e, c in enumerate(row) if c})
-
-
-def poincare_ordered(k: int, n: int) -> LaurentPoly:
-    """Poincare polynomial of the ordered n-point space:
-    (1 + k*x)(1 + (k+1)*x) ... (1 + (n+k-1)*x)."""
-    _natural("k", k)
-    _natural("n", n)
-    return _ordered_product(k, n)

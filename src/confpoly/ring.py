@@ -314,23 +314,6 @@ def substitute_duality(p: LaurentPoly, n: int) -> LaurentPoly:
     )
 
 
-def substitute_duality_inverse(v: LaurentPoly, n: int) -> LaurentPoly:
-    """Undo :func:`substitute_duality` at weight n.
-
-    The forward map lands in polynomials with even support; on those, the
-    term ``s*x^(2j)`` pulls back to ``s*(-1)^(n-j) * x^(n-j)``.  Composing
-    inverse(forward(p, n), n) returns p exactly, for every p.
-    """
-    _natural("n", n)
-    out = {}
-    for e, c in v._terms.items():
-        if e % 2:
-            raise ValueError(f"odd exponent {e}: not in the image of the substitution")
-        j = e // 2
-        out[n - j] = c if (n - j) % 2 == 0 else -c
-    return LaurentPoly._make(out)
-
-
 class TruncSeries:
     """A power series in ``y`` truncated at order N, LaurentPoly coefficients.
 

@@ -162,6 +162,10 @@ class Scope(_ScopeFields):
         return range(lowest, (default_max_k if self.max_k is None else self.max_k) + 1)
 
 
+# the stable cells of recursions and series check rank H^j for j <= 8, whatever max_n
+STABLE_MAX_J = 8
+
+
 # -- recursions -------------------------------------------------------
 
 
@@ -210,7 +214,7 @@ def suite_recursions(scope: Scope) -> Iterator[Cell]:
     def stable_cells(k: int) -> Iterator[Cell]:
         # rows[k] is P(k-1, .)
         table, row = poincare.betti_unordered_table(k, max_n), rows[k]
-        for j in range(8 + 1):
+        for j in range(STABLE_MAX_J + 1):
             for n in range(j, max_n + 1):
                 rank = table[n].coefficient(j)
                 expected = row[j] + (row[j - 1] if n > j > 0 else 0)
@@ -344,7 +348,10 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
         stable_gf = [c + b for c, b in zip(rows[k], (0, *rows[k]))]  # (1 + y) rows[k]
         for space, gf, label, formula, bound in (
             ("-", rows[k + 1], f"1/(1-y)^{k + 1}", combinatorics.pyramidal, order),
-            ("unordered", stable_gf, f"(1+y)/(1-y)^{k}", poincare.stable_betti, min(order, 8)),
+            (
+                "unordered", stable_gf, f"(1+y)/(1-y)^{k}", poincare.stable_betti,
+                min(order, STABLE_MAX_J),
+            ),
         ):
             for i in range(bound + 1):
                 yield _cell(space, k, i, coefficient, gf, label, formula, i)

@@ -32,12 +32,6 @@ SPACES = ("unordered", "ordered")
 _X2 = LaurentPoly({2: 1})
 
 
-def check_space(space: str) -> None:
-    """Raise ValueError unless ``space`` is one of :data:`SPACES`."""
-    if space not in SPACES:
-        raise ValueError(f"space must be one of {SPACES}, got {space!r}")
-
-
 # k -> (n, row): the coefficients of x^0, x^2, ..., x^2n of the last
 # falling-factorial product made for each k, as a tuple of ints, so a sweep
 # over n = 0, 1, 2, ... costs one factor per n and each answer is one
@@ -45,10 +39,14 @@ def check_space(space: str) -> None:
 _ORDERED: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
-def _falling_product(k: int, n: int) -> LaurentPoly:
-    """(x^2 - k) ... (x^2 - k - n + 1), extended from the row held for k
-    when that one has at most n factors, else from the empty product.  The
-    factor x^2 - m takes the row c of even coefficients to c_(i-1) - m*c_i."""
+def virtual_ordered(k: int, n: int) -> LaurentPoly:
+    """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), expanded.
+
+    Extended from the row held for k when that one has at most n factors,
+    else from the empty product.  The factor x^2 - m takes the row c of
+    even coefficients to c_(i-1) - m*c_i."""
+    _natural("k", k)
+    _natural("n", n)
     have, row = _ORDERED.get(k, (0, (1,)))
     if have > n:
         have, row = 0, (1,)
@@ -56,13 +54,6 @@ def _falling_product(k: int, n: int) -> LaurentPoly:
         row = tuple([b - m * c for c, b in zip((*row, 0), (0, *row))])
     _ORDERED[k] = (n, row)
     return LaurentPoly._make({2 * i: c for i, c in enumerate(row) if c})
-
-
-def virtual_ordered(k: int, n: int) -> LaurentPoly:
-    """(x^2 - k)(x^2 - k - 1) ... (x^2 - k - n + 1), expanded."""
-    _natural("k", k)
-    _natural("n", n)
-    return _falling_product(k, n)
 
 
 def virtual_unordered_series(k: int, order: int) -> TruncSeries:

@@ -9,12 +9,18 @@ tuples, against which ``FieldPoly`` division and gcd and the squarefree
 test are checked, and marking each product g*g*h of it in turn gives the
 square sieve's reference. ``assert_divides_by_factors`` counts what a
 generating-series route costs, so a test can bound it without timing
-anything.
+anything. ``OrderedRunningProduct`` holds the tests of the two ordered
+routes' running products, written once for both.
 """
 
 import itertools
+import random
 from functools import cache
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import confpoly.duality as duality
 import confpoly.ring as ring
 from confpoly.ring import ONE, LaurentPoly, TruncSeries
 
@@ -128,3 +134,51 @@ def assert_divides_by_factors(monkeypatch, route, k=32, order=64):
     assert divisors, f"{route.__name__} divides by no series"
     for s in divisors:
         assert all(len(c.support()) <= 1 for c in s.coeffs), f"divided by {s}"
+
+
+# given on a function, not on the method that both subclasses inherit, which
+# hypothesis refuses to run from two classes
+@settings(max_examples=40, deadline=None)
+@given(calls=st.permutations(ORDERED_CALLS))
+def _any_call_order(route, by_hand, calls):
+    for k, n in calls:
+        assert route(k, n) == by_hand(k, n)
+
+
+class OrderedRunningProduct:
+    """The running-product store of one ordered route.  A subclass named
+    ``Test...`` sets ``module``, ``route`` (its name there), ``by_hand``,
+    ``family`` (its ``duality.FAMILIES`` key), ``deep`` (the degree, and an
+    exponent with its coefficient, of the deep call (3, 1500)) and
+    ``wrong`` (what a patch of the public name answers at (2, 3))."""
+
+    def test_any_call_order(self):
+        _any_call_order(getattr(self.module, self.route), self.by_hand)
+
+    def test_every_call_up_to_the_limits(self, monkeypatch):
+        monkeypatch.setattr(self.module, "_ORDERED", {})
+        calls = LIMIT_CALLS.copy()
+        random.Random(0).shuffle(calls)
+        for k, n in calls:
+            assert getattr(self.module, self.route)(k, n) == self.by_hand(k, n), (k, n)
+
+    def test_deep_call_on_a_cold_store(self, monkeypatch):
+        monkeypatch.setattr(self.module, "_ORDERED", {})
+        p = getattr(self.module, self.route)(3, 1500)
+        degree, exponent, value = self.deep
+        assert p.degree() == degree
+        assert p.coefficient(exponent) == value
+
+    def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
+        real = getattr(self.module, self.route)
+
+        def patched(k, n):
+            return self.wrong if (k, n) == (2, 3) else real(k, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(self.module, self.route, patched)
+            assert duality.FAMILIES[self.family](2, 6)[3] == self.wrong
+            assert not all(duality.check_duality(2, 6, "ordered").matches)
+        expected = tuple(self.by_hand(2, n) for n in range(7))
+        assert duality.FAMILIES[self.family](2, 6) == expected
+        assert all(duality.check_duality(2, 6, "ordered").matches)

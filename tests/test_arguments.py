@@ -30,7 +30,7 @@ BAD = (2.0, True, "2", -1)
 # a valid value for each parameter without a default, natural or not
 VALID = {
     "k": 1, "n": 2, "j": 1, "order": 2, "max_n": 2, "max_i": 2, "q": 3, "degree": 2,
-    "max_k": 1, "i": 2, "r": 1, "p": ONE, "v": ONE, "poly": ONE,
+    "max_k": 1, "i": 2, "r": 1, "p": ONE, "poly": ONE,
     "space": "ordered", "fld": ffield.PrimeField(3), "primes": (3,),
 }
 

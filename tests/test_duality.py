@@ -4,10 +4,10 @@ import pytest
 
 import confpoly.poincare as poincare_module
 import confpoly.virtual as virtual_module
-from confpoly.duality import FAMILIES, check_duality, euler_consistency, undualize_series
-from confpoly.poincare import betti_unordered, poincare_ordered, unordered_series
-from confpoly.ring import LaurentPoly, TruncSeries, substitute_duality
-from confpoly.virtual import virtual_ordered, virtual_unordered, virtual_unordered_series
+from confpoly.duality import FAMILIES, check_duality, euler_consistency
+from confpoly.poincare import betti_unordered, poincare_ordered
+from confpoly.ring import LaurentPoly
+from confpoly.virtual import virtual_ordered, virtual_unordered
 
 # the public per-n function behind each family; the raw and the simplified
 # unordered virtual series have the same coefficients
@@ -18,25 +18,6 @@ PER_N = {
     "virtual-unordered-raw": virtual_unordered,
     "virtual-ordered": virtual_ordered,
 }
-
-
-def ordered_standard_series(k, order):
-    return TruncSeries(order, [poincare_ordered(k, n) for n in range(order + 1)])
-
-
-class TestUndualizeSeries:
-    def test_inverts_the_substitution(self):
-        for k in range(4):
-            for series in (unordered_series(k, 8), ordered_standard_series(k, 8)):
-                dual = [substitute_duality(c, n) for n, c in enumerate(series.coeffs)]
-                assert undualize_series(TruncSeries(8, dual)) == series
-
-    def test_virtual_series_pull_back_to_standard(self):
-        for k in range(4):
-            unordered = virtual_unordered_series(k, 8)
-            assert undualize_series(unordered) == unordered_series(k, 8)
-            ordered = TruncSeries(8, [virtual_ordered(k, n) for n in range(9)])
-            assert undualize_series(ordered) == ordered_standard_series(k, 8)
 
 
 class TestCheckDuality:

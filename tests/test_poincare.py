@@ -5,8 +5,6 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import confpoly.duality as duality
 import confpoly.poincare as poincare
@@ -21,8 +19,8 @@ from confpoly.ring import ONE, X, LaurentPoly, TruncSeries
 from confpoly.virtual import virtual_ordered
 
 from by_hand import (
-    LIMIT_CALLS,
     ORDERED_CALLS,
+    OrderedRunningProduct,
     assert_divides_by_factors,
     falling_by_hand,
     ordered_by_hand,
@@ -160,41 +158,11 @@ class TestPoincareOrdered:
                     assert p.coefficient(n) == lead
 
 
-class TestOrderedRunningProduct:
-    @settings(max_examples=40, deadline=None)
-    @given(st.permutations(ORDERED_CALLS))
-    def test_any_call_order(self, calls):
-        for k, n in calls:
-            assert poincare_ordered(k, n) == ordered_by_hand(k, n)
-
-    def test_every_call_up_to_the_limits(self, monkeypatch):
-        monkeypatch.setattr(poincare, "_ORDERED", {})
-        calls = LIMIT_CALLS.copy()
-        random.Random(0).shuffle(calls)
-        for k, n in calls:
-            assert poincare_ordered(k, n) == ordered_by_hand(k, n), (k, n)
-
-    def test_deep_call_on_a_cold_store(self, monkeypatch):
-        monkeypatch.setattr(poincare, "_ORDERED", {})
-        p = poincare_ordered(3, 1500)
-        assert p.degree() == 1500
-        assert p.coefficient(1) == sum(range(3, 1503))
-
-    def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
-        real = poincare.poincare_ordered
-
-        def bumped(k, n):
-            p = real(k, n)
-            return p + LaurentPoly({2: 1}) if (k, n) == (2, 3) else p
-
-        with monkeypatch.context() as m:
-            m.setattr(poincare, "poincare_ordered", bumped)
-            patched = duality.FAMILIES["standard-ordered"](2, 6)
-            assert patched[3] == ordered_by_hand(2, 3) + LaurentPoly({2: 1})
-            assert not all(duality.check_duality(2, 6, "ordered").matches)
-        expected = tuple(ordered_by_hand(2, n) for n in range(7))
-        assert duality.FAMILIES["standard-ordered"](2, 6) == expected
-        assert all(duality.check_duality(2, 6, "ordered").matches)
+class TestOrderedRunningProduct(OrderedRunningProduct):
+    module, route, by_hand = poincare, "poincare_ordered", staticmethod(ordered_by_hand)
+    family = "standard-ordered"
+    deep = 1500, 1, sum(range(3, 1503))
+    wrong = ordered_by_hand(2, 3) + LaurentPoly({2: 1})
 
     def test_threads_share_the_stores(self):
         # the stores are read, extended and replaced without a lock; every

@@ -194,8 +194,6 @@ TRAFFIC = [
 # every function and method of src/confpoly that TRAFFIC never enters, and
 # why it stays
 KEEP = {
-    "duality.undualize_series": "ROADMAP items 6 and 8: the standard side from counts",
-    "ring.substitute_duality_inverse": "ROADMAP items 6 and 8, through undualize_series",
     "ffield.FieldPoly.__divmod__": "perfbench tracer target",
     "ffield.FieldPoly.gcd": "perfbench tracer target",
     "ffield.is_squarefree": "perfbench tracer target; the reference squarefree test",
@@ -204,6 +202,8 @@ KEEP = {
     "ffield.FieldPoly.evaluate": "reference route for the smallest-root table",
     "ffield._monic_at": "failure path: names a squarefree disagreement",
     "ffield.FieldPoly.__init__": "failure path: _monic_at builds the offender",
+    "ffield.PrimeField.__new__": "failure path: the offender's field",
+    "ffield.PrimeField._make": "failure path: PrimeField(q) checks q through it",
     "ffield.FieldPoly.__repr__": "failure path: the offender in a FAIL detail",
     "verify._crashed": "failure path: a cell or a k that raised",
     "kronecker.decode": "failure path: a Kronecker int in a FAIL detail",
@@ -211,7 +211,7 @@ KEEP = {
     "ring.TruncSeries.inverse": "perfbench tracer target",
     "ring.LaurentPoly.__mul__": "perfbench tracer target; the ring-axiom tests use it",
     "ring.LaurentPoly.__add__": "perfbench tracer target; the ring-axiom tests use it",
-    "ring.TruncSeries.order": "napolitano_step and undualize_series read it",
+    "ring.TruncSeries.order": "napolitano_step reads it",
     "ffield.clear_caches": "criterion 9 empties the tables after patching what builds them",
     "ffield.FieldPoly.__eq__": "value dunder",
     "ffield.FieldPoly.__hash__": "value dunder",

@@ -1,13 +1,9 @@
 """Virtual Poincare polynomials: product formula and both series forms."""
 
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import confpoly.duality as duality
 import confpoly.virtual as virtual
 from confpoly.ring import ONE, LaurentPoly, TruncSeries
 from confpoly.virtual import (
@@ -17,12 +13,7 @@ from confpoly.virtual import (
     virtual_unordered_series,
 )
 
-from by_hand import (
-    LIMIT_CALLS,
-    ORDERED_CALLS,
-    assert_divides_by_factors,
-    falling_by_hand,
-)
+from by_hand import OrderedRunningProduct, assert_divides_by_factors, falling_by_hand
 
 X2 = LaurentPoly({2: 1})
 
@@ -126,40 +117,8 @@ class TestShapeInvariants:
                     assert all(e % 2 == 0 and e >= 0 for e in p.support())
 
 
-class TestOrderedRunningProduct:
-    @settings(max_examples=40, deadline=None)
-    @given(st.permutations(ORDERED_CALLS))
-    def test_any_call_order(self, calls):
-        for k, n in calls:
-            assert virtual_ordered(k, n) == falling_by_hand(k, n)
-
-    def test_every_call_up_to_the_limits(self, monkeypatch):
-        monkeypatch.setattr(virtual, "_ORDERED", {})
-        calls = LIMIT_CALLS.copy()
-        random.Random(0).shuffle(calls)
-        for k, n in calls:
-            assert virtual_ordered(k, n) == falling_by_hand(k, n), (k, n)
-
-    def test_deep_call_on_a_cold_store(self, monkeypatch):
-        monkeypatch.setattr(virtual, "_ORDERED", {})
-        p = virtual_ordered(3, 1500)
-        assert p.degree() == 3000
-        assert p.coefficient(2998) == -sum(range(3, 1503))
-
-    def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
-        real = virtual.virtual_ordered
-
-        def typo(k, n):
-            if (k, n) == (2, 3):
-                return LaurentPoly({4: -8, 2: 26, 0: -24})
-            return real(k, n)
-
-        with monkeypatch.context() as m:
-            m.setattr(virtual, "virtual_ordered", typo)
-            assert duality.FAMILIES["virtual-ordered"](2, 6)[3] == LaurentPoly(
-                {4: -8, 2: 26, 0: -24}
-            )
-            assert not all(duality.check_duality(2, 6, "ordered").matches)
-        expected = tuple(falling_by_hand(2, n) for n in range(7))
-        assert duality.FAMILIES["virtual-ordered"](2, 6) == expected
-        assert all(duality.check_duality(2, 6, "ordered").matches)
+class TestOrderedRunningProduct(OrderedRunningProduct):
+    module, route, by_hand = virtual, "virtual_ordered", staticmethod(falling_by_hand)
+    family = "virtual-ordered"
+    deep = 3000, 2998, -sum(range(3, 1503))
+    wrong = LaurentPoly({4: -8, 2: 26, 0: -24})
