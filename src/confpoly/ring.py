@@ -141,8 +141,7 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = sorted((self._terms, other._terms), key=len)
-        return _dot((e, c, b) for e, c in a.items())
+        return _dot((e, c, other._terms) for e, c in self._terms.items())
 
     __rmul__ = __mul__
 
@@ -237,12 +236,12 @@ def _as_poly(value) -> LaurentPoly:
 
 def _dot(rows: Iterable[tuple[int, int, dict[int, int]]]) -> LaurentPoly:
     """Sum of ``c * x^e * q`` over the rows (e, c, q), each q the terms of a
-    polynomial: the one loop that multiplies terms, into one dict.  Callers
-    flatten one operand (the shorter, or the divisor) into the monomials
-    c * x^e and put the longest q first, which fills the empty sum in one
-    comprehension (c = 1 shifts q without multiplying).  Products of nonzero
-    ints are nonzero, so only a sum can reach 0, and such a term is deleted
-    where it cancels: the result needs no zero filter."""
+    polynomial: the one loop that multiplies terms, into one dict.  The
+    series kernels flatten one operand (the shorter, or the divisor) into the
+    monomials c * x^e and put the longest q first, which fills the empty sum
+    in one comprehension (c = 1 shifts q without multiplying).  Products of
+    nonzero ints are nonzero, so only a sum can reach 0, and such a term is
+    deleted where it cancels: the result needs no zero filter."""
     out: dict[int, int] = {}
     for e1, c1, q in rows:
         if not out:

@@ -372,7 +372,7 @@ def suite_duality(scope: Scope) -> Iterator[Cell]:
             detail = ""
             if not ok:
                 detail = "transformed standard != virtual"
-                if report.first_mismatch and report.first_mismatch[0] == n:
+                if report.first_mismatch[0] == n:
                     _, lhs, rhs = report.first_mismatch
                     detail = f"transformed standard {lhs} != virtual {rhs}"
             yield space, k, n, ok, detail

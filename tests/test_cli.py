@@ -15,8 +15,6 @@ from confpoly.ring import LaurentPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PYRAMIDAL_5X5 = "1,0,0,0,0\n1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,10,20,35\n"
-
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -34,14 +32,40 @@ def checked_cells(out):
     return cells
 
 
-class TestTablePyramidal:
-    def test_csv_reference_table(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["table", "pyramidal", "--max-k", "3", "--max-i", "4"]
-        )
-        assert code == 0
-        assert out == PYRAMIDAL_5X5
+# argv -> the whole stdout of a run that exits 0
+EXACT_STDOUT = {
+    "table pyramidal --max-k 3 --max-i 4":
+        "1,0,0,0,0\n1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,10,20,35\n",
+    "table betti -k 2 --max-n 3": "1\n1,2\n1,3,3\n1,3,5,4\n",
+    "table betti --space ordered --kind virtual -k 2 --max-n 0": "1\n",
+    "series --family standard-unordered -k 0 --order 3": "1\n1\nx+1\nx+1\n",
+    "series --family virtual-unordered -k 0 --order 0": "1\n",
+}
 
+
+@pytest.mark.parametrize("argv", EXACT_STDOUT)
+def test_stdout_is_exactly(capsys, argv):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert out == EXACT_STDOUT[argv]
+
+
+# argv -> text in the stdout of a run that exits 0
+STDOUT_HAS = {
+    "table betti --space ordered --kind virtual -k 2 --max-n 3 --format latex":
+        "3 & $x^6-9x^4+26x^2-24$",
+    "verify --suite euler --max-k 2 --max-n 4": "result: PASS",
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_HAS)
+def test_stdout_has(capsys, argv):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert STDOUT_HAS[argv] in out
+
+
+class TestTablePyramidal:
     def test_latex_layout(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -55,12 +79,6 @@ class TestTablePyramidal:
         assert lines[3] == r"-1 & 1 & 0 & 0 & 0 & 0 \\"
         assert lines[-2] == r"3 & 1 & 4 & 10 & 20 & 35"
         assert lines[-1] == r"\end{tabular}"
-
-    def test_range_policy(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["table", "pyramidal", "--max-k", "33", "--max-i", "4"])
-        assert exc.value.code == 2
-        capsys.readouterr()
 
 
 class TestTableBetti:
@@ -101,79 +119,30 @@ class TestTableBetti:
         )
         assert out == json.dumps(payload, indent=2) + "\n"
 
-    def test_json_round_trip_standard(self, capsys):
+    @pytest.mark.parametrize(
+        "options, column",
+        [
+            ("--space ordered --kind standard -k 2", "ranks"),
+            ("--space unordered --kind virtual -k 3", "coeffs"),
+        ],
+        ids=["standard", "virtual"],
+    )
+    def test_json_round_trip(self, capsys, options, column):
         _, out, _ = run_cli(
-            capsys,
-            ["table", "betti", "--space", "ordered", "--kind", "standard",
-             "-k", "2", "--max-n", "4", "--format", "json"],
+            capsys, ["table", "betti", *options.split(), "--max-n", "4", "--format", "json"]
         )
         for row in json.loads(out):
-            rebuilt = LaurentPoly({i: int(r) for i, r in enumerate(row["ranks"])})
+            rebuilt = LaurentPoly({i: int(c) for i, c in enumerate(row[column])})
             assert str(rebuilt) == row["poly"]
-
-    def test_json_round_trip_virtual(self, capsys):
-        _, out, _ = run_cli(
-            capsys,
-            ["table", "betti", "--space", "unordered", "--kind", "virtual",
-             "-k", "3", "--max-n", "4", "--format", "json"],
-        )
-        for row in json.loads(out):
-            rebuilt = LaurentPoly({i: int(c) for i, c in enumerate(row["coeffs"])})
-            assert str(rebuilt) == row["poly"]
-
-    def test_csv_standard(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["table", "betti", "-k", "2", "--max-n", "3"]
-        )
-        assert code == 0
-        assert out == "1\n1,2\n1,3,3\n1,3,5,4\n"
-
-    def test_csv_virtual_single_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["table", "betti", "--space", "ordered", "--kind", "virtual",
-             "-k", "2", "--max-n", "0"],
-        )
-        assert code == 0
-        assert out == "1\n"
-
-    def test_latex_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["table", "betti", "--space", "ordered", "--kind", "virtual",
-             "-k", "2", "--max-n", "3", "--format", "latex"],
-        )
-        assert code == 0
-        assert "3 & $x^6-9x^4+26x^2-24$" in out
-
-    def test_k_policy(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["table", "betti", "-k", "40", "--max-n", "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: confpoly table betti ")
 
 
 class TestSeries:
-    def test_standard_unordered_base(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["series", "--family", "standard-unordered", "-k", "0", "--order", "3"]
-        )
-        assert code == 0
-        assert out == "1\n1\nx+1\nx+1\n"
-
     def test_virtual_unordered(self, capsys):
         code, out, _ = run_cli(
             capsys, ["series", "--family", "virtual-unordered", "-k", "2", "--order", "3"]
         )
         assert code == 0
         assert out.splitlines()[-1] == "x^6-3x^4+5x^2-4"
-
-    def test_order_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["series", "--family", "virtual-unordered", "-k", "0", "--order", "0"]
-        )
-        assert code == 0
-        assert out == "1\n"
 
     def test_raw_family_matches_simplified(self, capsys):
         _, raw, _ = run_cli(
@@ -194,12 +163,6 @@ class TestSeries:
             capsys, ["series", "--family", "virtual-ordered", "-k", "2", "--order", "3"]
         )
         assert out.splitlines()[-1] == "x^6-9x^4+26x^2-24"
-
-    def test_order_policy(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["series", "--family", "virtual-unordered", "-k", "2", "--order", "65"])
-        assert exc.value.code == 2
-        capsys.readouterr()
 
 
 class TestVerifyCommand:
@@ -228,22 +191,10 @@ class TestVerifyCommand:
         assert [name for name, _ in timings] == list(ran)
         assert all(re.fullmatch(r"\d+\.\d\ds", seconds) for _, seconds in timings)
 
-    def test_suite_flag_spelling(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["verify", "--suite", "euler", "--max-k", "2", "--max-n", "4"]
-        )
-        assert code == 0
-        assert "result: PASS" in out
-
-    def test_conflicting_suites(self, capsys):
+    @pytest.mark.parametrize("argv", ["verify duality --suite euler", "verify nonsense"])
+    def test_bad_suite(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "duality", "--suite", "euler"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-
-    def test_unknown_suite(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "nonsense"])
+            cli.main(argv.split())
         assert exc.value.code == 2
         capsys.readouterr()
 

@@ -1,12 +1,15 @@
 """The CLI traffic, run in a fresh interpreter: pinned stdout, a guard
 that every function it never enters is kept on purpose, and the modules
-that each kind of call loads.
+that each kind of call loads.  Beside them, the guard that no test is
+written twice.
 
 Each test runs its calls in-process inside one new subprocess, so no other
 test's caches or patches can leak in, and no call pays for interpreter
 start-up.
 """
 
+import ast
+import collections
 import json
 import os
 import subprocess
@@ -264,3 +267,32 @@ print(json.dumps(sorted(name for name, code in functions.items() if code not in 
     assert not unkept and not stale, (
         f"never entered and not kept: {unkept}; kept but entered or gone: {stale}"
     )
+
+
+class _Blanked(ast.NodeTransformer):
+    """Every literal, and every list or tuple of literals, as one placeholder
+    that no name in a source file can equal."""
+
+    def visit_Constant(self, node):
+        return ast.Name("<literal>", ast.Load())
+
+    def visit_List(self, node):
+        self.generic_visit(node)
+        if all(isinstance(e, ast.Name) and e.id == "<literal>" for e in node.elts):
+            return ast.Name("<literal>", ast.Load())
+        return node
+
+    visit_Tuple = visit_List
+
+
+def test_no_two_tests_differ_only_in_literals():
+    # ROADMAP aim 2: no test is implemented twice; cases that differ only
+    # in data are one parametrized test
+    bodies = collections.defaultdict(list)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                body = _Blanked().visit(ast.Module(node.body, []))
+                bodies[ast.dump(body)].append(f"{path.name}::{node.name}")
+    copies = [names for names in bodies.values() if len(names) > 1]
+    assert not copies, f"one parametrized test for each of: {copies}"

@@ -39,16 +39,11 @@ class TestRunSuites:
         assert summary.passed == len(results) == 2 * 4 * 7
         assert summary.suites == ("duality",)
 
-    def test_recursions_suite_green(self):
-        summary, _ = run_suites(["recursions"], Scope(max_k=4, max_n=8))
-        assert summary.ok
-
-    def test_euler_suite_green(self):
-        summary, _ = run_suites(["euler"], Scope(max_k=3, max_n=6))
-        assert summary.ok
-
-    def test_series_suite_green(self):
-        summary, _ = run_suites(["series"], Scope(max_k=3, max_n=8))
+    @pytest.mark.parametrize(
+        "suite, max_k, max_n", [("recursions", 4, 8), ("euler", 3, 6), ("series", 3, 8)]
+    )
+    def test_suite_green(self, suite, max_k, max_n):
+        summary, _ = run_suites([suite], Scope(max_k=max_k, max_n=max_n))
         assert summary.ok
 
     def test_stabilization_reads_one_table_per_k(self, monkeypatch):
@@ -459,32 +454,23 @@ class TestNapolitanoChain:
         monkeypatch.setattr(kronecker, "chain_step", recorded)
         return steps
 
-    @staticmethod
-    def _assert_one_chain(steps, order, last_k):
-        b = kronecker.bit_width(last_k, order)
-        base = [kronecker.encode(c, b) for c in poincare.unordered_series(0, order).coeffs]
-        assert steps[0][0] == base
-        for (_, previous, _), (row, _, _) in zip(steps, steps[1:]):
-            assert row is previous
-        assert {width for _, _, width in steps} == {b}
-
-    @pytest.mark.parametrize("max_k", [0, 1, 5, 16])
-    def test_one_step_per_k(self, monkeypatch, capsys, max_k):
+    # a run up to k, or at k alone, steps up from zero
+    @pytest.mark.parametrize(
+        "k_option", ["--max-k 0", "--max-k 1", "--max-k 5", "--max-k 16", "-k 0", "-k 1", "-k 7"]
+    )
+    def test_one_step_per_k(self, monkeypatch, capsys, k_option):
         steps = self._record_steps(monkeypatch)
-        assert cli.main(["verify", "series", "--max-k", str(max_k), "--max-n", "6"]) == 0
+        assert cli.main(["verify", "series", *k_option.split(), "--max-n", "6"]) == 0
         capsys.readouterr()
-        assert len(steps) == max_k
-        if steps:
-            self._assert_one_chain(steps, 6, max_k)
-
-    @pytest.mark.parametrize("k", [0, 1, 7])
-    def test_single_k_steps_up_from_zero(self, monkeypatch, capsys, k):
-        steps = self._record_steps(monkeypatch)
-        assert cli.main(["verify", "series", "-k", str(k), "--max-n", "6"]) == 0
-        capsys.readouterr()
+        k = int(k_option.split()[1])
         assert len(steps) == k
         if steps:
-            self._assert_one_chain(steps, 6, k)
+            b = kronecker.bit_width(k, 6)
+            base = [kronecker.encode(c, b) for c in poincare.unordered_series(0, 6).coeffs]
+            assert steps[0][0] == base
+            for (_, previous, _), (row, _, _) in zip(steps, steps[1:]):
+                assert row is previous
+            assert {width for _, _, width in steps} == {b}
 
     def test_wrong_step_names_its_k_first(self, monkeypatch, capsys):
         self._record_steps(monkeypatch, wrong_call=3)
@@ -700,32 +686,64 @@ def test_recursions_build_no_unordered_cell_under_ordered(monkeypatch, capsys):
     ]
 
 
+def _entered(route, *args):
+    """The code of every confpoly function that ``route(*args)`` enters, from
+    cold caches."""
+    package = Path(combinatorics.__file__).parent
+    combinatorics.pyramidal.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and Path(frame.f_code.co_filename).parent == package:
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
 def test_stabilization_routes_share_only_argument_checks():
     # the stabilization cells compare the printed table with the running-sum
     # rows; entered from cold caches, the two may share no confpoly code
     # but the argument checks
-    package = Path(combinatorics.__file__).parent
-
-    def entered(route, *args):
-        combinatorics.pyramidal.cache_clear()
-        codes = set()
-
-        def profile(frame, event, arg):
-            if event == "call" and Path(frame.f_code.co_filename).parent == package:
-                codes.add(frame.f_code)
-
-        sys.setprofile(profile)
-        try:
-            route(*args)
-        finally:
-            sys.setprofile(None)
-        return codes
-
-    table = entered(poincare.betti_unordered_table, 6, 12)
-    rows = entered(combinatorics.pyramidal_rows, 6, 12)
+    table = _entered(poincare.betti_unordered_table, 6, 12)
+    rows = _entered(combinatorics.pyramidal_rows, 6, 12)
     assert combinatorics.pyramidal.__wrapped__.__code__ in table
     assert combinatorics.pyramidal_rows.__code__ in rows
     assert table & rows == {ring._natural.__code__, ring._integer.__code__}
+
+
+# what the closed form and the series of a three-way cell may share, and why
+THREE_WAY_SHARED = {
+    ring._natural: "the argument check of every public route",
+    ring._integer: "pyramidal's argument check, and the series power's check of n",
+    ring.LaurentPoly._make: "the constructor of every polynomial a kernel computes",
+}
+
+
+def test_series_cell_sides_share_only_ring_kernels():
+    # a three-way cell compares the closed form, the series and the Kronecker
+    # chain, a forms cell the carried raw form and the simplified series:
+    # from cold caches, the ring sides of a three-way cell share only
+    # THREE_WAY_SHARED, and the Kronecker sides share nothing with a ring side
+    closed = _entered(lambda: [poincare.betti_unordered(6, n) for n in range(13)])
+    series = _entered(poincare.unordered_series, 6, 12)
+    assert closed & series == {f.__code__ for f in THREE_WAY_SHARED}
+
+    def carried():
+        b = kronecker.bit_width(6, 12)
+        chain, raw = kronecker.chain_base(12, b), kronecker.raw_base(12, b)
+        for _ in range(6):
+            chain, raw = kronecker.chain_step(chain, b), kronecker.raw_step(raw)
+
+    kronecker_sides = _entered(carried)
+    assert {kronecker.chain_step.__code__, kronecker.raw_step.__code__} <= kronecker_sides
+    simplified = _entered(virtual.virtual_unordered_series, 6, 12)
+    for ring_side in (closed, series, simplified):
+        assert not kronecker_sides & ring_side
 
 
 def test_traced_run_sees_every_suite():

@@ -63,11 +63,9 @@ class TestVirtualUnorderedSeries:
 
 
 class TestGetzlerRaw:
-    def test_no_punctures_forms_coincide(self):
-        assert getzler_series_raw(0, 5) == virtual_unordered_series(0, 5)
-
-    def test_two_punctures_deep(self):
-        assert getzler_series_raw(2, 12) == virtual_unordered_series(2, 12)
+    @pytest.mark.parametrize("k, order", [(0, 5), (2, 12)])
+    def test_forms_coincide(self, k, order):
+        assert getzler_series_raw(k, order) == virtual_unordered_series(k, order)
 
     def test_one_point(self):
         assert getzler_series_raw(1, 1)[1] == LaurentPoly({2: 1, 0: -1})
