@@ -73,11 +73,10 @@ def napolitano_step(s: TruncSeries) -> TruncSeries:
 
 
 def stable_betti(k: int, j: int) -> int:
-    """The common value of rank H^j over all n > j: P(k-1, j) + P(k-1, j-1)."""
+    """The common value of rank H^j over all n > j, read at n = j + 1."""
     _natural("k", k)
     _natural("j", j)
-    P = combinatorics.pyramidal
-    return P(k - 1, j) + P(k - 1, j - 1)
+    return betti_unordered(k, j + 1).coefficient(j)
 
 
 # k -> (n, row): the coefficients of x^0..x^n of the last ordered product

@@ -33,15 +33,16 @@ Suites:
 
 from __future__ import annotations
 
+import math
 import time
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # SUITES and DEFAULT_PRIMES are declared in the package, where the CLI reads
 # them without loading this module, and so is the field policy of --primes:
-# the oracle confpoly.ffield is loaded only when pointcount runs
-from . import DEFAULT_PRIMES, SUITES, check_field_size, combinatorics, duality, kronecker
-from . import poincare, virtual
+# the oracle confpoly.ffield is loaded only when pointcount runs, and
+# confpoly.kronecker only when series runs
+from . import DEFAULT_PRIMES, SUITES, check_field_size, combinatorics, duality, poincare, virtual
 from .ring import LaurentPoly, _natural
 
 
@@ -239,9 +240,7 @@ def _ordered_shape(k: int, n: int) -> tuple[bool, str]:
     if p.degree() != expected_degree:
         return False, f"degree {p.degree()} != {expected_degree}"
     if k >= 1:
-        lead = 1
-        for j in range(n):
-            lead *= k + j
+        lead = math.prod(range(k, k + n))
         if p.coefficient(n) != lead:
             return False, f"leading coefficient {p.coefficient(n)} != {lead}"
     return True, ""
@@ -271,6 +270,8 @@ def suite_series(scope: Scope) -> Iterator[Cell]:
     running-sum rows of :func:`combinatorics.pyramidal_rows`.  At the last
     k > 0, the public raw route is compared with the public simplified
     series and then with the carried raw form."""
+    from . import kronecker
+
     order, shape_max_n = scope.n(12), scope.n(10)
     ks = scope.ks(6)
     bits = kronecker.bit_width(ks[-1], order)

@@ -10,7 +10,8 @@ test are checked, and marking each product g*g*h of it in turn gives the
 square sieve's reference. ``assert_divides_by_factors`` counts what a
 generating-series route costs, so a test can bound it without timing
 anything. ``OrderedRunningProduct`` holds the tests of the two ordered
-routes' running products, written once for both.
+routes' running products, written once for both. ``patch_at`` plants one
+wrong value in a public route, the one way every mutation test plants it.
 """
 
 import itertools
@@ -136,6 +137,16 @@ def assert_divides_by_factors(monkeypatch, route, k=32, order=64):
         assert all(len(c.support()) <= 1 for c in s.coeffs), f"divided by {s}"
 
 
+def patch_at(patcher, module, name, at, wrong):
+    """Make ``module.name`` return ``wrong(value)`` for the argument tuple
+    ``at``, where ``value`` is its true answer, and the true value for every
+    other call.  ``patcher`` is a ``monkeypatch`` or one of its contexts."""
+    real = getattr(module, name)
+    patcher.setattr(
+        module, name, lambda *args: wrong(real(*args)) if args == at else real(*args)
+    )
+
+
 # given on a function, not on the method that both subclasses inherit, which
 # hypothesis refuses to run from two classes
 @settings(max_examples=40, deadline=None)
@@ -170,13 +181,8 @@ class OrderedRunningProduct:
         assert p.coefficient(exponent) == value
 
     def test_patch_of_the_public_name_does_not_stick(self, monkeypatch):
-        real = getattr(self.module, self.route)
-
-        def patched(k, n):
-            return self.wrong if (k, n) == (2, 3) else real(k, n)
-
         with monkeypatch.context() as m:
-            m.setattr(self.module, self.route, patched)
+            patch_at(m, self.module, self.route, (2, 3), lambda p: self.wrong)
             assert duality.FAMILIES[self.family](2, 6)[3] == self.wrong
             assert not all(duality.check_duality(2, 6, "ordered").matches)
         expected = tuple(self.by_hand(2, n) for n in range(7))

@@ -6,7 +6,7 @@ lines.  Every comparison is an exact integer or polynomial equality.
 
 from contextlib import contextmanager
 
-from confpoly import cli
+from confpoly import cli, combinatorics, ffield, poincare, virtual
 from confpoly.combinatorics import pyramidal, pyramidal_closed_form, pyramidal_rows
 from confpoly.duality import check_duality, euler_consistency
 from confpoly.ffield import oracle_check, squarefree_disagreements
@@ -24,6 +24,8 @@ from confpoly.virtual import (
     virtual_unordered,
     virtual_unordered_series,
 )
+
+from by_hand import patch_at
 
 
 @contextmanager
@@ -93,6 +95,8 @@ def test_criterion_6_stability():
             for j in range(9):
                 stable = stable_betti(k, j)
                 assert stable == rows[k][j] + (rows[k][j - 1] if j else 0)
+                # stable_betti reads rank H^j at n = j + 1, so this is the
+                # stabilization in n itself
                 for n in range(j + 1, 13):
                     assert betti_unordered(k, n).coefficient(j) == stable
                 assert betti_unordered(k, j).coefficient(j) == stable - pyramidal(k - 1, j - 1)
@@ -101,16 +105,9 @@ def test_criterion_6_stability():
 
 def test_criterion_6_fails_on_a_wrong_pyramidal(monkeypatch, capsys):
     # the formula's own routes both read the recursion, so with P(1, 3)
-    # off by one (memo warmed) only the running-sum side tells
-    import confpoly.combinatorics as combinatorics_module
-
-    real = pyramidal
-    for k in range(-1, 8):
-        for i in range(-1, 13):
-            real(k, i)
-    wrong = lambda k, i: real(k, i) + ((k, i) == (1, 3))  # noqa: E731
-    monkeypatch.setattr(combinatorics_module, "pyramidal", wrong)
-    monkeypatch.setitem(globals(), "pyramidal", wrong)
+    # off by one only the running-sum side tells
+    patch_at(monkeypatch, combinatorics, "pyramidal", (1, 3), lambda v: v + 1)
+    monkeypatch.setitem(globals(), "pyramidal", combinatorics.pyramidal)
     try:
         test_criterion_6_stability()
     except AssertionError:
@@ -143,89 +140,35 @@ def _first_failure_line(out):
     raise AssertionError(f"no first-failure line in output:\n{out}")
 
 
+# criterion 9's mutations: the route, the arguments it is wrong at, its
+# answer there from the true one, the run's --primes (None: the defaults),
+# and the cell that the first failure names
+MUTATIONS = [
+    # the printed-typo value for the ordered virtual polynomial at (2, 3)
+    (virtual, "virtual_ordered", (2, 3), lambda p: LaurentPoly({4: -8, 2: 26, 0: -24}),
+     None, "space=ordered k=2 n=3"),
+    # a bumped Betti rank surfaces in the series three-way checks
+    (poincare, "betti_unordered", (3, 4), lambda p: p + LaurentPoly({2: 1}),
+     "2,3", "space=unordered k=3 n=4"),
+    # a bumped ordered standard coefficient surfaces in the duality checks
+    (poincare, "poincare_ordered", (2, 3), lambda p: p + LaurentPoly({2: 1}),
+     "2,3", "space=ordered k=2 n=3"),
+    # a wrong pyramidal number surfaces in the recursion checks
+    (combinatorics, "pyramidal", (2, 3), lambda v: v + 1, "2,3", "space=- k=2 n=3"),
+    # a miscount in the enumeration surfaces in the pointcount checks
+    (ffield, "count_squarefree_coprime", (5, 2, 3), lambda v: v + 1,
+     "2,3,5", "space=unordered k=2 n=3"),
+]
+
+
 def test_criterion_9_mutation_sensitivity(monkeypatch, capsys):
     with criterion(9, "single-coefficient mutations are caught and named"):
-        import confpoly.combinatorics as combinatorics_module
-        import confpoly.ffield as ffield_module
-        import confpoly.poincare as poincare_module
-        import confpoly.virtual as virtual_module
-
-        # the printed-typo value for the ordered virtual polynomial at (2, 3)
-        real_vo = virtual_module.virtual_ordered
-
-        def typo_virtual_ordered(k, n):
-            if (k, n) == (2, 3):
-                return LaurentPoly({4: -8, 2: 26, 0: -24})
-            return real_vo(k, n)
-
-        with monkeypatch.context() as m:
-            m.setattr(virtual_module, "virtual_ordered", typo_virtual_ordered)
-            code = cli.main(["verify", "--suite", "all"])
+        for module, name, at, wrong, primes, cell in MUTATIONS:
+            with monkeypatch.context() as m:
+                patch_at(m, module, name, at, wrong)
+                code = cli.main(
+                    ["verify", "--suite", "all", *(("--primes", primes) if primes else ())]
+                )
             out = capsys.readouterr().out
-            assert code == 1
-            assert "space=ordered k=2 n=3" in _first_failure_line(out)
-
-        # a bumped Betti rank surfaces in the series three-way checks
-        real_bu = poincare_module.betti_unordered
-
-        def bumped_betti(k, n):
-            poly = real_bu(k, n)
-            return poly + LaurentPoly({2: 1}) if (k, n) == (3, 4) else poly
-
-        with monkeypatch.context() as m:
-            m.setattr(poincare_module, "betti_unordered", bumped_betti)
-            code = cli.main(["verify", "--suite", "all", "--primes", "2,3"])
-            out = capsys.readouterr().out
-            assert code == 1
-            assert "space=unordered k=3 n=4" in _first_failure_line(out)
-
-        # a bumped ordered standard coefficient surfaces in the duality checks
-        real_po = poincare_module.poincare_ordered
-
-        def bumped_ordered(k, n):
-            p = real_po(k, n)
-            if (k, n) == (2, 3):
-                return p + LaurentPoly({2: 1})
-            return p
-
-        with monkeypatch.context() as m:
-            m.setattr(poincare_module, "poincare_ordered", bumped_ordered)
-            code = cli.main(["verify", "--suite", "all", "--primes", "2,3"])
-            out = capsys.readouterr().out
-            assert code == 1
-            assert "space=ordered k=2 n=3" in _first_failure_line(out)
-
-        # a wrong pyramidal number surfaces in the recursion checks
-        real_pyr = combinatorics_module.pyramidal
-        # warm the memo cache over the whole verify range first, so the
-        # original's recursive self-calls never route through the patched
-        # name and bake mutated values into the cache
-        for k in range(-1, 9):
-            for i in range(-1, 14):
-                real_pyr(k, i)
-
-        def bumped_pyramidal(k, i):
-            value = real_pyr(k, i)
-            return value + 1 if (k, i) == (2, 3) else value
-
-        with monkeypatch.context() as m:
-            m.setattr(combinatorics_module, "pyramidal", bumped_pyramidal)
-            code = cli.main(["verify", "--suite", "all", "--primes", "2,3"])
-            out = capsys.readouterr().out
-            assert code == 1
-            assert "space=- k=2 n=3" in _first_failure_line(out)
-
-        # a miscount in the enumeration surfaces in the pointcount checks
-        ffield_module.clear_caches()
-        real_count = ffield_module.count_squarefree_coprime
-
-        def miscount(q, k, n):
-            value = real_count(q, k, n)
-            return value + 1 if (q, k, n) == (5, 2, 3) else value
-
-        with monkeypatch.context() as m:
-            m.setattr(ffield_module, "count_squarefree_coprime", miscount)
-            code = cli.main(["verify", "--suite", "all", "--primes", "2,3,5"])
-            out = capsys.readouterr().out
-            assert code == 1
-            assert "space=unordered k=2 n=3" in _first_failure_line(out)
+            assert code == 1, name
+            assert cell in _first_failure_line(out), name

@@ -9,6 +9,8 @@ from confpoly.poincare import betti_unordered, poincare_ordered
 from confpoly.ring import LaurentPoly
 from confpoly.virtual import virtual_ordered, virtual_unordered
 
+from by_hand import patch_at
+
 # the public per-n function behind each family; the raw and the simplified
 # unordered virtual series have the same coefficients
 PER_N = {
@@ -35,15 +37,8 @@ class TestCheckDuality:
             assert report.matches == (True,)
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
-        import confpoly.virtual as virtual_module
-
-        real = virtual_module.virtual_ordered
-
-        def broken(k, n):
-            poly = real(k, n)
-            return poly + LaurentPoly({2: 1}) if (k, n) == (1, 2) else poly
-
-        monkeypatch.setattr(virtual_module, "virtual_ordered", broken)
+        bump = LaurentPoly({2: 1})
+        patch_at(monkeypatch, virtual_module, "virtual_ordered", (1, 2), lambda p: p + bump)
         report = check_duality(1, 4, "ordered")
         assert report.matches == (True, True, False, True, True)
         n, lhs, rhs = report.first_mismatch

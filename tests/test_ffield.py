@@ -27,7 +27,7 @@ from confpoly.ffield import (
 )
 from confpoly.verify import Scope, run_suites
 
-from by_hand import field_product_by_hand, square_sieve_by_hand
+from by_hand import field_product_by_hand, patch_at, square_sieve_by_hand
 
 # count_squarefree_coprime(q, k, n) and count_ordered_configs(q, k, n) for
 # n = 0..5, as the per-(k, n) enumeration computed them before the counts
@@ -314,15 +314,10 @@ class TestSquarefree:
 
     def test_flipped_group_verdict_is_named(self, monkeypatch, capsys, fresh_tables):
         # x^3 + x = x(x^2 + 1) over F_3 is squarefree; its group is c + x^3 + x
-        real = ffield._squarefree_group
-
-        def flipped(h, q):
-            verdicts = real(h, q)
-            if (q, h) == (3, [0, 1, 0, 1]):
-                return bytes([verdicts[0] ^ ffield._SQUAREFREE]) + verdicts[1:]
-            return verdicts
-
-        monkeypatch.setattr(ffield, "_squarefree_group", flipped)
+        patch_at(
+            monkeypatch, ffield, "_squarefree_group", ([0, 1, 0, 1], 3),
+            lambda verdicts: bytes([verdicts[0] ^ ffield._SQUAREFREE]) + verdicts[1:],
+        )
         assert cli.main(["verify", "pointcount"]) == 1
         out = capsys.readouterr().out
         assert (
@@ -338,15 +333,10 @@ class TestSquarefree:
         # each fixed by 2 of the 20 maps; the wrong verdict of
         # f = x^3 + x^2 + 3 = (x - 1)^2 (x + 3) spreads to one polynomial in
         # each, and f(x + 2) = x(x + 1)^2 comes first in enumeration order
-        real = ffield._squarefree_group
-
-        def flipped(h, q):
-            verdicts = real(h, q)
-            if (q, h) == (5, [0, 0, 1, 1]):
-                return verdicts[:3] + bytes([verdicts[3] ^ ffield._SQUAREFREE]) + verdicts[4:]
-            return verdicts
-
-        monkeypatch.setattr(ffield, "_squarefree_group", flipped)
+        patch_at(
+            monkeypatch, ffield, "_squarefree_group", ([0, 0, 1, 1], 5),
+            lambda v: v[:3] + bytes([v[3] ^ ffield._SQUAREFREE]) + v[4:],
+        )
         verdicts = ffield._polynomial_table(5, 3).translate(ffield._SQUAREFUL)
         sieve = ffield._square_sieve(5, 3)
         wrong = [i for i, (a, b) in enumerate(zip(verdicts, sieve)) if a != b]

@@ -1,7 +1,7 @@
 """The CLI traffic, run in a fresh interpreter: pinned stdout, a guard
 that every function it never enters is kept on purpose, and the modules
-that each kind of call loads.  Beside them, the guard that no test is
-written twice.
+that each kind of call loads.  Beside them, the guards that no test is
+written twice and that no test writes one block twice.
 
 Each test runs its calls in-process inside one new subprocess, so no other
 test's caches or patches can leak in, and no call pays for interpreter
@@ -156,7 +156,11 @@ FOOTPRINT = {
     "table betti --kind virtual -k 2 --max-n 3 --format latex": [],
     # the CLI writes the JSON table itself
     "table betti -k 2 --max-n 3 --format json": [],
-    # the scope checks its primes against the field policy in the package
+    # the scope checks its primes against the field policy in the package,
+    # and the Kronecker chain is loaded when series runs
+    "verify duality --max-k 1 --max-n 2": ["confpoly.verify"],
+    "verify euler --max-k 1 --max-n 2": ["confpoly.verify"],
+    "verify recursions --max-k 1 --max-n 2": ["confpoly.verify"],
     "verify series --max-k 1 --max-n 2": ["confpoly.kronecker", "confpoly.verify"],
     # the oracle is loaded when pointcount runs
     "verify pointcount --max-n 1 --primes 2": [
@@ -215,7 +219,7 @@ KEEP = {
     "ring.LaurentPoly.__mul__": "perfbench tracer target; the ring-axiom tests use it",
     "ring.LaurentPoly.__add__": "perfbench tracer target; the ring-axiom tests use it",
     "ring.TruncSeries.order": "napolitano_step reads it",
-    "ffield.clear_caches": "criterion 9 empties the tables after patching what builds them",
+    "ffield.clear_caches": "the oracle tests empty the tables after patching what builds them",
     "ffield.FieldPoly.__eq__": "value dunder",
     "ffield.FieldPoly.__hash__": "value dunder",
     "ring.LaurentPoly.__hash__": "value dunder",
@@ -296,3 +300,36 @@ def test_no_two_tests_differ_only_in_literals():
                 bodies[ast.dump(body)].append(f"{path.name}::{node.name}")
     copies = [names for names in bodies.values() if len(names) > 1]
     assert not copies, f"one parametrized test for each of: {copies}"
+
+
+class _Shape(_Blanked):
+    """Every name and attribute, too, as the placeholder of a literal."""
+
+    visit_Name = visit_Attribute = _Blanked.visit_Constant
+
+
+# the ast.dump size, blanked, above which a block written twice in one test
+# is a copy; below it are the one- and two-line statements any test repeats
+BLOCK_SIZE = 400
+
+
+def test_no_test_repeats_a_block():
+    # ROADMAP aim 2 inside one test: the same block twice is one loop over
+    # a table of what differs
+    repeats = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tests = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+        ]
+        for test in tests:
+            lines = collections.defaultdict(list)
+            for statement in _Shape().visit(ast.Module(test.body, [])).body:
+                for block in ast.walk(statement):
+                    if isinstance(block, (ast.With, ast.For, ast.If, ast.FunctionDef)):
+                        lines[ast.dump(block)].append(block.lineno)
+            repeats += [
+                f"{path.name}::{test.name} lines {at}"
+                for dump, at in lines.items() if len(at) > 1 and len(dump) > BLOCK_SIZE
+            ]
+    assert not repeats, f"one loop over a table for each of: {repeats}"

@@ -23,6 +23,8 @@ from confpoly import cli
 from confpoly.ring import LaurentPoly, TruncSeries
 from confpoly.verify import SUITES, CheckResult, Scope, run_suites
 
+from by_hand import patch_at
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -173,34 +175,37 @@ class TestFailureDetails:
     """Every failure branch of a cell names its cell and says what went wrong."""
 
     @staticmethod
-    def _patch_at(monkeypatch, module, name, at, wrong):
-        real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *args: wrong(real(*args)) if args == at else real(*args)
-        )
-
-    @staticmethod
     def _first(names, scope):
         summary, _ = run_suites(names, scope)
         f = summary.first_failure
         return (f.suite, f.space, f.k, f.n), f.detail
 
     @pytest.mark.parametrize(
-        "wrong, detail",
+        "at, wrong, detail",
         [
-            ({3: 24, 2: -26, 1: 9, 0: 1}, "negative coefficient in 24x^3-26x^2+9x+1"),
-            ({3: 24, 2: 26, 1: 9, 0: 2}, "constant term 2 != 1"),
-            ({4: 1, 3: 24, 2: 26, 1: 9, 0: 1}, "degree 4 != 3"),
-            ({3: 25, 2: 26, 1: 9, 0: 1}, "leading coefficient 25 != 24"),
+            ((2, 3), {3: 24, 2: -26, 1: 9, 0: 1}, "negative coefficient in 24x^3-26x^2+9x+1"),
+            ((2, 3), {3: 24, 2: 26, 1: 9, 0: 2}, "constant term 2 != 1"),
+            ((2, 3), {4: 1, 3: 24, 2: 26, 1: 9, 0: 1}, "degree 4 != 3"),
+            ((2, 3), {3: 25, 2: 26, 1: 9, 0: 1}, "leading coefficient 25 != 24"),
+            # at k = 0 the factor 1 + 0x drops the degree to n - 1
+            ((0, 3), {3: 6, 2: 11, 1: 6, 0: 1}, "degree 3 != 2"),
         ],
-        ids=["negative", "constant", "degree", "leading"],
+        ids=["negative", "constant", "degree", "leading", "k0-degree"],
     )
-    def test_ordered_shape(self, monkeypatch, wrong, detail):
-        self._patch_at(
-            monkeypatch, poincare, "poincare_ordered", (2, 3), lambda p: LaurentPoly(wrong)
-        )
+    def test_ordered_shape(self, monkeypatch, at, wrong, detail):
+        patch_at(monkeypatch, poincare, "poincare_ordered", at, lambda p: LaurentPoly(wrong))
         cell = self._first(["series"], Scope(max_k=2, max_n=3))
-        assert cell == (("series", "ordered", 2, 3), detail)
+        assert cell == (("series", "ordered", *at), detail)
+
+    def test_ordered_shape_reads_no_leading_coefficient_at_k0(self, monkeypatch):
+        # the leading coefficient of the product at k = 0 is (n - 1)!, which
+        # the shape cell leaves to the duality suite
+        patch_at(
+            monkeypatch, poincare, "poincare_ordered", (0, 3), lambda p: p + LaurentPoly({2: 1})
+        )
+        assert run_suites(["series"], Scope(max_k=2, max_n=3))[0].ok
+        cell = self._first(["duality"], Scope(max_k=2, max_n=3))
+        assert cell[0] == ("duality", "ordered", 0, 3)
 
     @pytest.mark.parametrize(
         "wrong, detail",
@@ -208,13 +213,13 @@ class TestFailureDetails:
             ({6: 1, 4: -9, 3: 1, 2: 26, 0: -24}, "support (0, 2, 3, 4, 6) not contained"),
             ({8: 1, 6: 1, 4: -9, 2: 26, 0: -24}, "x^8+x^6-9x^4+26x^2-24 is not of degree 6"),
             ({6: 2, 4: -9, 2: 26, 0: -24}, "2x^6-9x^4+26x^2-24 is not monic"),
+            ({6: 1, 4: -9, 2: 26, 0: -24, -2: 1}, "support (-2, 0, 2, 4, 6) not contained"),
+            ({}, "0 is not of degree 6"),
         ],
-        ids=["support", "degree", "monic"],
+        ids=["support", "degree", "monic", "negative-exponent", "zero"],
     )
     def test_virtual_shape(self, monkeypatch, wrong, detail):
-        self._patch_at(
-            monkeypatch, virtual, "virtual_ordered", (2, 3), lambda p: LaurentPoly(wrong)
-        )
+        patch_at(monkeypatch, virtual, "virtual_ordered", (2, 3), lambda p: LaurentPoly(wrong))
         cell, got = self._first(["series"], Scope(max_k=2, max_n=3))
         assert cell == ("series", "ordered", 2, 3)
         assert got.startswith(detail)
@@ -230,7 +235,7 @@ class TestFailureDetails:
     )
     def test_stirling_cell(self, monkeypatch, module, name, at, detail):
         bump = {poincare: lambda p: p + LaurentPoly({2: 1}), combinatorics: lambda c: c + 1}
-        self._patch_at(monkeypatch, module, name, at, bump[module])
+        patch_at(monkeypatch, module, name, at, bump[module])
         cell = self._first(["recursions"], Scope(max_k=1, max_n=2))
         assert cell == (("recursions", "-", 1, 5), detail)
 
@@ -248,16 +253,14 @@ class TestFailureDetails:
             coeffs[2] = coeffs[2] + 1
             return TruncSeries(s.order, coeffs)
 
-        self._patch_at(monkeypatch, virtual, name, (2, 3), bumped)
+        patch_at(monkeypatch, virtual, name, (2, 3), bumped)
         cell = self._first(["series"], Scope(max_k=2, max_n=3))
         assert cell == (("series", "unordered", 2, 2), detail)
 
     @pytest.mark.parametrize("q, n", [(2, 1), (3, 2)])
     def test_methods_agree(self, monkeypatch, q, n):
         offender = ffield.FieldPoly(ffield.PrimeField(q), [1, 2, 1])
-        self._patch_at(
-            monkeypatch, ffield, "squarefree_disagreements", (q, n), lambda bad: [offender]
-        )
+        patch_at(monkeypatch, ffield, "squarefree_disagreements", (q, n), lambda bad: [offender])
         cell = self._first(["pointcount"], Scope(max_k=1, max_n=2, primes=(2, 3)))
         detail = f"q={q}: squarefree tests disagree at {offender!r}"
         assert cell == (("pointcount", "-", 0, n), detail)
@@ -276,14 +279,8 @@ class TestFailureNaming:
         assert "RuntimeError" in first.detail
 
     def test_wrong_value_is_located(self, monkeypatch):
-        real = combinatorics.pyramidal
-
-        def off_by_one(k, i):
-            value = real(k, i)
-            return value + 1 if (k, i) == (2, 3) else value
-
         with monkeypatch.context() as m:
-            m.setattr(combinatorics, "pyramidal", off_by_one)
+            patch_at(m, combinatorics, "pyramidal", (2, 3), lambda v: v + 1)
             summary, _ = run_suites(["recursions"])
         assert not summary.ok
         first = summary.first_failure
@@ -294,13 +291,7 @@ class TestFailureNaming:
         # the printed table reads the public pyramidal name and the expected
         # ranks the running-sum rows, so one wrong P(1, 3) fails the
         # stabilization cells of k = 2 that read it
-        real = combinatorics.pyramidal
-        for k in range(-1, 9):
-            for i in range(-1, 14):
-                real(k, i)
-        monkeypatch.setattr(
-            combinatorics, "pyramidal", lambda k, i: real(k, i) + ((k, i) == (1, 3))
-        )
+        patch_at(monkeypatch, combinatorics, "pyramidal", (1, 3), lambda v: v + 1)
         assert cli.main(["verify", "recursions"]) == 1
         failed = [
             line for line in capsys.readouterr().out.splitlines()
@@ -315,10 +306,7 @@ class TestFailureNaming:
         real = combinatorics.pyramidal
         real.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(
-                combinatorics, "pyramidal",
-                lambda k, i: real(k, i) + 1 if (k, i) == (2, 3) else real(k, i),
-            )
+            patch_at(m, combinatorics, "pyramidal", (2, 3), lambda v: v + 1)
             run_suites(["recursions"])
         wrong = [
             (k, i) for k in range(9) for i in range(13) if real(k, i) != math.comb(i + k, i)
