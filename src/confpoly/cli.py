@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     pyr.add_argument("--max-k", type=_within(-1, K_LIMIT), default=3)
     pyr.add_argument("--max-i", type=_within(0, N_LIMIT), default=4)
     pyr.add_argument("--format", choices=("csv", "latex"), default="csv")
-    pyr.set_defaults(run=_cmd_table_pyramidal, parser=pyr)
+    pyr.set_defaults(run=_cmd_table_pyramidal)
 
     betti = table_sub.add_parser("betti", help="Betti numbers / virtual polynomials")
     betti.add_argument("--space", choices=virtual.SPACES, default="unordered")
@@ -68,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     betti.add_argument("--max-n", type=_within(0, N_LIMIT), required=True)
     betti.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
-    betti.set_defaults(run=_cmd_table_betti, parser=betti)
+    betti.set_defaults(run=_cmd_table_betti)
 
     series = sub.add_parser("series", help="print generating-series coefficients")
     series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
     series.add_argument("-k", type=_within(0, K_LIMIT), required=True)
     series.add_argument("--order", type=_within(0, N_LIMIT), required=True)
-    series.set_defaults(run=_cmd_series, parser=series)
+    series.set_defaults(run=_cmd_series)
 
     ver = sub.add_parser("verify", help="run cross-verification suites")
     ver.add_argument(
@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(map(str, DEFAULT_PRIMES)),
         help="comma-separated primes",
     )
+    # the one handler that reports usage errors of its own, through its parser
     ver.set_defaults(run=_cmd_verify, parser=ver)
     return parser
 
@@ -111,7 +112,7 @@ def _write(lines: Iterable[str]) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.run(args.parser, args)
+        code = args.run(args)
         sys.stdout.flush()  # inside the guard, so a closed pipe fails here
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null device,
@@ -125,7 +126,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 # -- table ------------------------------------------------------------
 
 
-def _cmd_table_pyramidal(parser, args) -> int:
+def _cmd_table_pyramidal(args) -> int:
     rows = combinatorics.pyramidal_rows(args.max_k, args.max_i)
     if args.format == "csv":
         _write(",".join(str(v) for v in row) for row in rows)
@@ -139,7 +140,7 @@ def _cmd_table_pyramidal(parser, args) -> int:
     return 0
 
 
-def _cmd_table_betti(parser, args) -> int:
+def _cmd_table_betti(args) -> int:
     k, standard = args.k, args.kind == "standard"
     polys = duality.FAMILIES[f"{args.kind}-{args.space}"](k, args.max_n)
 
@@ -188,7 +189,7 @@ def _print_json_table(k: int, key: str, rows: Iterable[tuple[int, list[str], str
 # -- series -----------------------------------------------------------
 
 
-def _cmd_series(parser, args) -> int:
+def _cmd_series(args) -> int:
     _write(map(str, duality.FAMILIES[args.family](args.k, args.order)))
     return 0
 
@@ -211,9 +212,10 @@ def _format_check(c: "verify.CheckResult") -> str:
     return line
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     from . import verify
 
+    parser = args.parser
     suite = args.suite_pos or args.suite or "all"
     if args.suite_pos and args.suite and args.suite_pos != args.suite:
         parser.error(f"conflicting suites: {args.suite_pos} vs {args.suite}")

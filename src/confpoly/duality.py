@@ -3,25 +3,18 @@
 Applying x -> -1/x^2, y -> y*x^2 to the standard generating series of
 either configuration-space family yields the virtual one.  Coefficient by
 coefficient the transformation is the weight-n substitution of the ring
-module, and this module checks the correspondence over whole ranges of
-(k, n), reporting mismatches as data rather than raising, so the CLI can
-print a full table.  It also holds :data:`FAMILIES`, the one table that
-says which route answers each (kind, space) pair.
+module.  This module returns both sides of that correspondence, and of
+the Euler characteristic, over whole ranges of (k, n); ``verify``
+compares them and names each mismatch.  It also holds :data:`FAMILIES`,
+the one table that says which route answers each (kind, space) pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 from . import poincare, virtual
 from .ring import LaurentPoly, _natural, substitute_duality
-
-
-class DualityReport(NamedTuple):
-    """Per-n outcome of comparing transformed standard against virtual."""
-
-    matches: tuple[bool, ...]
-    first_mismatch: Optional[tuple[int, LaurentPoly, LaurentPoly]]
 
 
 def _per_n(poly_of):
@@ -61,24 +54,19 @@ def _standard_and_virtual(k: int, max_n: int, space: str):
     )
 
 
-def check_duality(k: int, max_n: int, space: str) -> DualityReport:
-    """Compare the dualized standard polynomial with the virtual one for
-    every n up to max_n.  Mismatches are recorded, not raised; sides of
-    different lengths raise ValueError."""
+def check_duality(k: int, max_n: int, space: str) -> tuple[tuple[LaurentPoly, LaurentPoly], ...]:
+    """Entry n is the pair (dualized standard, virtual) of the space's
+    polynomials, for every n up to max_n.  Sides of different lengths raise
+    ValueError."""
     standard, virt = _standard_and_virtual(k, max_n, space)
-    matches = []
-    first_mismatch = None
-    for n, (s, rhs) in enumerate(zip(standard, virt, strict=True)):
-        lhs = substitute_duality(s, n)
-        ok = lhs == rhs
-        matches.append(ok)
-        if not ok and first_mismatch is None:
-            first_mismatch = (n, lhs, rhs)
-    return DualityReport(tuple(matches), first_mismatch)
+    return tuple(
+        (substitute_duality(s, n), v)
+        for n, (s, v) in enumerate(zip(standard, virt, strict=True))
+    )
 
 
-def euler_consistency(k: int, max_n: int, space: str) -> tuple[bool, ...]:
-    """Entry n is True iff standard(-1) equals virtual(1).
+def euler_consistency(k: int, max_n: int, space: str) -> tuple[tuple[int, int], ...]:
+    """Entry n is the pair (standard(-1), virtual(1)).
 
     Both sides compute the Euler characteristic of the same space, one
     from the alternating sum of Betti numbers, one from the virtual
@@ -86,6 +74,4 @@ def euler_consistency(k: int, max_n: int, space: str) -> tuple[bool, ...]:
     ValueError.
     """
     standard, virt = _standard_and_virtual(k, max_n, space)
-    return tuple(
-        s.eval_int(-1) == v.eval_int(1) for s, v in zip(standard, virt, strict=True)
-    )
+    return tuple((s.eval_int(-1), v.eval_int(1)) for s, v in zip(standard, virt, strict=True))

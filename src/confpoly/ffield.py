@@ -518,41 +518,16 @@ def count_squarefree_coprime(q: int, k: int, n: int) -> int:
     return sum(table.count(_SQUAREFREE | root) for root in range(k, q + 1))
 
 
-class OracleReport(NamedTuple):
-    """One enumeration-vs-formula comparison."""
-
-    q: int
-    k: int
-    n: int
-    space: str
-    oracle_count: int
-    formula_value: int
-
-    @property
-    def agree(self) -> bool:
-        """Derived, so no record (one from ``_replace`` too) contradicts it."""
-        return self.oracle_count == self.formula_value
-
-
-def oracle_check(q: int, k: int, max_n: int) -> list[OracleReport]:
-    """Enumerate both spaces for every n <= max_n and compare with the
-    virtual polynomials specialized at x^2 = q."""
+def oracle_check(q: int, k: int, max_n: int) -> list[tuple[str, int, int, int]]:
+    """One row (space, n, enumerated count, virtual value at x^2 = q) for
+    each space and every n <= max_n."""
     _check_enumeration_args(q, k, max_n, "max_n")
     unordered = virtual.virtual_unordered_series(k, max_n)
-    reports = []
+    rows = []
     for n in range(max_n + 1):
-        reports.append(
-            OracleReport(
-                q, k, n, "ordered",
-                count_ordered_configs(q, k, n),
-                virtual.virtual_ordered(k, n).eval_x_squared(q),
-            )
-        )
-        reports.append(
-            OracleReport(
-                q, k, n, "unordered",
-                count_squarefree_coprime(q, k, n),
-                unordered[n].eval_x_squared(q),
-            )
-        )
-    return reports
+        rows += [
+            ("ordered", n, count_ordered_configs(q, k, n),
+             virtual.virtual_ordered(k, n).eval_x_squared(q)),
+            ("unordered", n, count_squarefree_coprime(q, k, n), unordered[n].eval_x_squared(q)),
+        ]
+    return rows

@@ -65,8 +65,11 @@ class VerifySummary(NamedTuple):
     passed: int
     failed: int
     first_failure: Optional[CheckResult]
-    duration: float
     suite_durations: tuple[float, ...]
+
+    @property
+    def duration(self) -> float:
+        return sum(self.suite_durations)
 
     @property
     def ok(self) -> bool:
@@ -239,10 +242,10 @@ def _ordered_shape(k: int, n: int) -> tuple[bool, str]:
     expected_degree = 0 if n == 0 else (n if k >= 1 else n - 1)
     if p.degree() != expected_degree:
         return False, f"degree {p.degree()} != {expected_degree}"
-    if k >= 1:
-        lead = math.prod(range(k, k + n))
-        if p.coefficient(n) != lead:
-            return False, f"leading coefficient {p.coefficient(n)} != {lead}"
+    # the factors are 1 + m x for m = k..k+n-1; at k = 0, 1 + 0x adds no degree
+    lead = math.prod(range(max(k, 1), k + n))
+    if p.coefficient(expected_degree) != lead:
+        return False, f"leading coefficient {p.coefficient(expected_degree)} != {lead}"
     return True, ""
 
 
@@ -368,14 +371,15 @@ def suite_duality(scope: Scope) -> Iterator[Cell]:
     max_n = scope.n(12)
 
     def cells(space: str, k: int) -> Iterator[Cell]:
-        report = duality.check_duality(k, max_n, space)
-        for n, ok in enumerate(report.matches):
-            detail = ""
-            if not ok:
+        named = False  # only the first mismatch of a (space, k) shows both sides
+        for n, (lhs, rhs) in enumerate(duality.check_duality(k, max_n, space)):
+            ok = lhs == rhs
+            if ok:
+                detail = ""
+            elif named:
                 detail = "transformed standard != virtual"
-                if report.first_mismatch[0] == n:
-                    _, lhs, rhs = report.first_mismatch
-                    detail = f"transformed standard {lhs} != virtual {rhs}"
+            else:
+                detail, named = f"transformed standard {lhs} != virtual {rhs}", True
             yield space, k, n, ok, detail
 
     for space in scope.spaces:
@@ -395,9 +399,8 @@ def suite_pointcount(scope: Scope) -> Iterator[Cell]:
     max_n = scope.n(POINTCOUNT_MAX_N)
 
     def cells(q: int, k: int) -> Iterator[Cell]:
-        for r in ffield.oracle_check(q, k, max_n):
-            detail = f"q={q}: enumerated {r.oracle_count}, formula {r.formula_value}"
-            yield r.space, r.k, r.n, r.agree, detail
+        for space, n, count, value in ffield.oracle_check(q, k, max_n):
+            yield space, k, n, count == value, f"q={q}: enumerated {count}, formula {value}"
 
     def methods_agree(q: int, n: int) -> tuple[bool, str]:
         bad = ffield.squarefree_disagreements(q, n)
@@ -420,7 +423,8 @@ def suite_euler(scope: Scope) -> Iterator[Cell]:
     max_n = scope.n(10)
 
     def cells(space: str, k: int) -> Iterator[Cell]:
-        for n, ok in enumerate(duality.euler_consistency(k, max_n, space)):
+        for n, (standard, virt) in enumerate(duality.euler_consistency(k, max_n, space)):
+            ok = standard == virt
             yield space, k, n, ok, "" if ok else "standard(-1) != virtual(1)"
 
     for space in scope.spaces:
@@ -471,7 +475,6 @@ def run_suites(
         passed=len(results) - len(failed),
         failed=len(failed),
         first_failure=failed[0] if failed else None,
-        duration=sum(suite_durations),
         suite_durations=tuple(suite_durations),
     )
     return summary, results

@@ -6,6 +6,8 @@ lines.  Every comparison is an exact integer or polynomial equality.
 
 from contextlib import contextmanager
 
+import pytest
+
 from confpoly import cli, combinatorics, ffield, poincare, virtual
 from confpoly.combinatorics import pyramidal, pyramidal_closed_form, pyramidal_rows
 from confpoly.duality import check_duality, euler_consistency
@@ -82,8 +84,8 @@ def test_criterion_5_duality():
     with criterion(5, "dualized standard == virtual, both spaces, k<=6 n<=12"):
         for space in ("unordered", "ordered"):
             for k in range(7):
-                report = check_duality(k, 12, space)
-                assert all(report.matches), (space, k, report.first_mismatch)
+                for n, (lhs, rhs) in enumerate(check_duality(k, 12, space)):
+                    assert lhs == rhs, (space, k, n)
 
 
 def test_criterion_6_stability():
@@ -103,24 +105,12 @@ def test_criterion_6_stability():
                 assert betti_unordered(k, j).coefficient(j) == rows[k][j]
 
 
-def test_criterion_6_fails_on_a_wrong_pyramidal(monkeypatch, capsys):
-    # the formula's own routes both read the recursion, so with P(1, 3)
-    # off by one only the running-sum side tells
-    patch_at(monkeypatch, combinatorics, "pyramidal", (1, 3), lambda v: v + 1)
-    monkeypatch.setitem(globals(), "pyramidal", combinatorics.pyramidal)
-    try:
-        test_criterion_6_stability()
-    except AssertionError:
-        assert capsys.readouterr().out.startswith("criterion 6: FAIL")
-    else:
-        raise AssertionError("criterion 6 passed with a wrong P(1, 3)")
-
-
 def test_criterion_7_euler_consistency():
     with criterion(7, "standard(-1) == virtual(1), both spaces, k<=6 n<=10"):
         for space in ("unordered", "ordered"):
             for k in range(7):
-                assert all(euler_consistency(k, 10, space))
+                for n, (standard, virt) in enumerate(euler_consistency(k, 10, space)):
+                    assert standard == virt, (space, k, n)
 
 
 def test_criterion_8_pointcount_oracle():
@@ -129,8 +119,37 @@ def test_criterion_8_pointcount_oracle():
             for n in range(6):
                 assert squarefree_disagreements(q, n) == []
             for k in range(min(q, 4)):
-                for report in oracle_check(q, k, 5):
-                    assert report.agree, report
+                for space, n, count, value in oracle_check(q, k, 5):
+                    assert count == value, (q, k, space, n)
+
+
+# a wrong value that each criterion below must catch: the criterion, the
+# route, the arguments it is wrong at, and its answer there from the true one
+WRONG_VALUES = [
+    # the formula's own routes both read the recursion, so with P(1, 3)
+    # off by one only the running-sum side tells
+    (6, combinatorics, "pyramidal", (1, 3), lambda v: v + 1),
+    # these criteria get pairs of sides, and a tuple of pairs is true
+    # whatever they hold: each pair must be compared
+    (5, virtual, "virtual_ordered", (2, 3), lambda p: p + LaurentPoly({2: 1})),
+    (7, virtual, "virtual_ordered", (2, 3), lambda p: p + LaurentPoly({2: 1})),
+    (8, virtual, "virtual_ordered", (2, 3), lambda p: p + LaurentPoly({2: 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "number, module, name, at, wrong", WRONG_VALUES,
+    ids=[f"criterion-{row[0]}" for row in WRONG_VALUES],
+)
+def test_criterion_fails_on_a_wrong_value(monkeypatch, capsys, number, module, name, at, wrong):
+    patch_at(monkeypatch, module, name, at, wrong)
+    if name in globals():  # the criteria call some routes by the names imported here
+        monkeypatch.setitem(globals(), name, getattr(module, name))
+    prefix = f"test_criterion_{number}_"
+    [check] = [f for f_name, f in globals().items() if f_name.startswith(prefix)]
+    with pytest.raises(AssertionError):
+        check()
+    assert capsys.readouterr().out.startswith(f"criterion {number}: FAIL")
 
 
 def _first_failure_line(out):

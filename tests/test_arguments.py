@@ -36,9 +36,7 @@ VALID = {
 
 # entry points, or "entry(argument)" for one argument, whose natural-looking
 # arguments follow another rule, and why
-EXEMPT = {
-    "ffield.OracleReport": "a record that oracle_check fills from its checked arguments",
-}
+EXEMPT = {}
 
 NOT_INT = (2.0, True, "2")
 

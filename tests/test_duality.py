@@ -6,7 +6,7 @@ import confpoly.poincare as poincare_module
 import confpoly.virtual as virtual_module
 from confpoly.duality import FAMILIES, check_duality, euler_consistency
 from confpoly.poincare import betti_unordered, poincare_ordered
-from confpoly.ring import LaurentPoly
+from confpoly.ring import ONE, LaurentPoly, substitute_duality
 from confpoly.virtual import virtual_ordered, virtual_unordered
 
 from by_hand import patch_at
@@ -24,26 +24,28 @@ PER_N = {
 
 class TestCheckDuality:
     def test_unordered_two_punctures(self):
-        report = check_duality(2, 8, "unordered")
-        assert all(report.matches)
-        assert report.first_mismatch is None
+        # entry n is (dualized standard, virtual), and the two sides agree
+        pairs = check_duality(2, 8, "unordered")
+        assert pairs == tuple(
+            (substitute_duality(betti_unordered(2, n), n), virtual_unordered(2, n))
+            for n in range(9)
+        )
+        assert all(lhs == rhs for lhs, rhs in pairs)
 
     def test_ordered_plane(self):
-        assert all(check_duality(0, 8, "ordered").matches)
+        assert all(lhs == rhs for lhs, rhs in check_duality(0, 8, "ordered"))
 
     def test_zero_points(self):
         for space in ("ordered", "unordered"):
-            report = check_duality(3, 0, space)
-            assert report.matches == (True,)
+            assert check_duality(3, 0, space) == ((ONE, ONE),)
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
         bump = LaurentPoly({2: 1})
         patch_at(monkeypatch, virtual_module, "virtual_ordered", (1, 2), lambda p: p + bump)
-        report = check_duality(1, 4, "ordered")
-        assert report.matches == (True, True, False, True, True)
-        n, lhs, rhs = report.first_mismatch
-        assert n == 2
-        assert lhs != rhs
+        pairs = check_duality(1, 4, "ordered")
+        assert [lhs == rhs for lhs, rhs in pairs] == [True, True, False, True, True]
+        # virtual_ordered here is the unpatched route
+        assert pairs[2] == (virtual_ordered(1, 2), virtual_ordered(1, 2) + bump)
 
     def test_space_validated(self):
         # the one space check of virtual, so its message
@@ -54,17 +56,17 @@ class TestCheckDuality:
 
 class TestEulerConsistency:
     def test_unordered_value(self):
-        assert euler_consistency(2, 3, "unordered") == (True,) * 4
+        assert euler_consistency(2, 3, "unordered") == ((1, 1), (-1, -1), (1, 1), (-1, -1))
         assert betti_unordered(2, 3).eval_int(-1) == -1
         assert virtual_unordered(2, 3).eval_int(1) == -1
 
     def test_ordered_value(self):
-        assert euler_consistency(2, 3, "ordered") == (True,) * 4
+        assert euler_consistency(2, 3, "ordered") == ((1, 1), (-1, -1), (2, 2), (-6, -6))
         assert poincare_ordered(2, 3).eval_int(-1) == -6
         assert virtual_ordered(2, 3).eval_int(1) == -6
 
     def test_empty_configuration(self):
-        assert euler_consistency(0, 0, "unordered") == (True,)
+        assert euler_consistency(0, 0, "unordered") == ((1, 1),)
         assert betti_unordered(0, 0).eval_int(-1) == 1
 
 

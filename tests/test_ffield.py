@@ -15,7 +15,6 @@ import confpoly.poincare as poincare
 import confpoly.virtual as virtual
 from confpoly.ffield import (
     FieldPoly,
-    OracleReport,
     PrimeField,
     TooLargeError,
     count_ordered_configs,
@@ -577,29 +576,23 @@ class TestCounts:
 
 class TestOracleCheck:
     def test_reference_run(self):
-        reports = oracle_check(5, 2, 3)
-        assert len(reports) == 8
-        assert all(r.agree for r in reports)
+        # (space, n, enumerated count, virtual value at x^2 = q)
+        assert oracle_check(5, 2, 3) == [
+            ("ordered", 0, 1, 1), ("unordered", 0, 1, 1),
+            ("ordered", 1, 3, 3), ("unordered", 1, 3, 3),
+            ("ordered", 2, 6, 6), ("unordered", 2, 13, 13),
+            ("ordered", 3, 6, 6), ("unordered", 3, 71, 71),
+        ]
 
     def test_tiny_field(self):
-        reports = oracle_check(2, 1, 3)
-        assert all(r.agree for r in reports)
-        ordered = {r.n: r.oracle_count for r in reports if r.space == "ordered"}
-        assert ordered[0] == 1 and ordered[1] == 1
-        assert ordered[2] == 0 and ordered[3] == 0
+        rows = oracle_check(2, 1, 3)
+        assert all(count == value for _, _, count, value in rows)
+        ordered = {n: count for space, n, count, _ in rows if space == "ordered"}
+        assert ordered == {0: 1, 1: 1, 2: 0, 3: 0}
 
     def test_precondition_violation(self):
         with pytest.raises(ValueError):
             oracle_check(3, 3, 1)
-
-    def test_agree_field_is_derived(self):
-        r = OracleReport(5, 2, 3, "ordered", 6, 6)
-        assert r.agree
-        r = OracleReport(5, 2, 3, "ordered", 6, 7)
-        assert not r.agree
-        assert r._replace(oracle_count=7).agree
-        assert not r._replace(formula_value=7)._replace(oracle_count=8).agree
-        assert OracleReport._make([3, 1, 2, "unordered", 5, 5]).agree
 
     def test_one_unordered_series_per_call(self, monkeypatch):
         calls = []
@@ -611,10 +604,10 @@ class TestOracleCheck:
 
         monkeypatch.setattr(virtual, "virtual_unordered", _raise)
         monkeypatch.setattr(virtual, "virtual_unordered_series", counted)
-        assert all(r.agree for r in oracle_check(5, 2, 4))
+        assert all(count == value for _, _, count, value in oracle_check(5, 2, 4))
         assert calls == [(2, 4)]
 
     def test_acceptance_range(self):
         for q in (2, 3, 5):
             for k in range(min(q, 4)):
-                assert all(r.agree for r in oracle_check(q, k, 4))
+                assert all(count == value for _, _, count, value in oracle_check(q, k, 4))

@@ -187,25 +187,17 @@ class TestFailureDetails:
             ((2, 3), {3: 24, 2: 26, 1: 9, 0: 2}, "constant term 2 != 1"),
             ((2, 3), {4: 1, 3: 24, 2: 26, 1: 9, 0: 1}, "degree 4 != 3"),
             ((2, 3), {3: 25, 2: 26, 1: 9, 0: 1}, "leading coefficient 25 != 24"),
-            # at k = 0 the factor 1 + 0x drops the degree to n - 1
+            # at k = 0 the factor 1 + 0x drops the degree to n - 1, and the
+            # leading coefficient is (n - 1)!
             ((0, 3), {3: 6, 2: 11, 1: 6, 0: 1}, "degree 3 != 2"),
+            ((0, 3), {2: 3, 1: 3, 0: 1}, "leading coefficient 3 != 2"),
         ],
-        ids=["negative", "constant", "degree", "leading", "k0-degree"],
+        ids=["negative", "constant", "degree", "leading", "k0-degree", "k0-leading"],
     )
     def test_ordered_shape(self, monkeypatch, at, wrong, detail):
         patch_at(monkeypatch, poincare, "poincare_ordered", at, lambda p: LaurentPoly(wrong))
         cell = self._first(["series"], Scope(max_k=2, max_n=3))
         assert cell == (("series", "ordered", *at), detail)
-
-    def test_ordered_shape_reads_no_leading_coefficient_at_k0(self, monkeypatch):
-        # the leading coefficient of the product at k = 0 is (n - 1)!, which
-        # the shape cell leaves to the duality suite
-        patch_at(
-            monkeypatch, poincare, "poincare_ordered", (0, 3), lambda p: p + LaurentPoly({2: 1})
-        )
-        assert run_suites(["series"], Scope(max_k=2, max_n=3))[0].ok
-        cell = self._first(["duality"], Scope(max_k=2, max_n=3))
-        assert cell[0] == ("duality", "ordered", 0, 3)
 
     @pytest.mark.parametrize(
         "wrong, detail",
@@ -256,6 +248,28 @@ class TestFailureDetails:
         patch_at(monkeypatch, virtual, name, (2, 3), bumped)
         cell = self._first(["series"], Scope(max_k=2, max_n=3))
         assert cell == (("series", "unordered", 2, 2), detail)
+
+    # the details of the cross-check cells, with virtual_ordered off by x^2
+    # at (1, 2) and (1, 3): a later duality mismatch of the same (space, k)
+    # gets the generic detail
+    @pytest.mark.parametrize(
+        "suite, n, detail",
+        [
+            ("duality", 2, "transformed standard x^4-3x^2+2 != virtual x^4-2x^2+2"),
+            ("duality", 3, "transformed standard != virtual"),
+            ("euler", 2, "standard(-1) != virtual(1)"),
+            ("pointcount", 2, "q=3: enumerated 2, formula 5"),
+        ],
+        ids=["duality-first", "duality-later", "euler", "pointcount"],
+    )
+    def test_cross_check(self, monkeypatch, suite, n, detail):
+        bump = LaurentPoly({2: 1})
+        for at in ((1, 2), (1, 3)):
+            patch_at(monkeypatch, virtual, "virtual_ordered", at, lambda p: p + bump)
+        _, results = run_suites([suite], Scope(max_k=2, max_n=3, primes=(3,)))
+        failed = {(r.space, r.k, r.n): r.detail for r in results if not r.passed}
+        assert set(failed) == {("ordered", 1, 2), ("ordered", 1, 3)}
+        assert failed[("ordered", 1, n)] == detail
 
     @pytest.mark.parametrize("q, n", [(2, 1), (3, 2)])
     def test_methods_agree(self, monkeypatch, q, n):
